@@ -80,48 +80,6 @@ fn bench_des_engine(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_kernel(c: &mut Criterion) {
-    use ccube_sim::Kernel;
-    use ccube_topology::Seconds;
-    let mut g = c.benchmark_group("des_kernel");
-    // Raw event-queue churn: schedule+pop N events with interleaved
-    // times, the hot loop every engine in the workspace now runs on.
-    for n in [1_000u64, 100_000] {
-        g.throughput(Throughput::Elements(n));
-        g.bench_with_input(BenchmarkId::new("schedule_pop", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut k: Kernel<u64> = Kernel::new();
-                for i in 0..n {
-                    // Deterministic scatter of times so pops reorder.
-                    let t = (i * 2_654_435_761) % n;
-                    k.schedule(Seconds::from_micros(t as f64), i, i);
-                }
-                let mut acc = 0u64;
-                while let Some((_, e)) = k.pop() {
-                    acc = acc.wrapping_add(e);
-                }
-                black_box(acc)
-            })
-        });
-    }
-    // Steady-state hold: a self-rescheduling event population of 1024,
-    // the pattern of a long-running co-simulation.
-    g.bench_function("reschedule_1k_x32", |b| {
-        b.iter(|| {
-            let mut k: Kernel<u64> = Kernel::new();
-            for i in 0..1024u64 {
-                k.schedule(Seconds::from_micros(i as f64), i, i);
-            }
-            for _ in 0..32 * 1024 {
-                let (now, e) = k.pop().unwrap();
-                k.schedule(now + Seconds::from_micros(1.0 + (e % 7) as f64), e, e);
-            }
-            black_box(k.stats().events_processed)
-        })
-    });
-    g.finish();
-}
-
 fn bench_threaded_runtime(c: &mut Criterion) {
     let mut g = c.benchmark_group("threaded_runtime");
     g.sample_size(10);
@@ -212,7 +170,7 @@ fn bench_cost_models(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_schedule_builders, bench_verifier, bench_kernel, bench_des_engine,
+    targets = bench_schedule_builders, bench_verifier, bench_des_engine,
               bench_threaded_runtime, bench_sync_primitives, bench_cost_models,
               bench_system_cosim, bench_primitives
 }

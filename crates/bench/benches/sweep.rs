@@ -173,10 +173,10 @@ fn main() {
         t_on / t_off
     );
 
-    // --- Switch-fabric rate: the same run on the componentized model. -
+    // --- Switch-fabric rate: the same run on the switch-fabric model. -
     // Passthrough processes the same event count as the approximation
     // (the equivalence contract); the split fabric adds uplink hops, so
-    // its events/sec is the agent-layer overhead figure.
+    // its events/sec is the network layer's overhead figure.
     let passthrough = SimOptions::scale_out().without_trace().with_network(
         ccube_sim::NetworkModel::SwitchFabric(FabricSpec::passthrough()),
     );

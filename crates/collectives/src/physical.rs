@@ -57,7 +57,7 @@
 //! `ready + duration`, where `ready` is the max completion of its
 //! dependencies and `duration` is the mode-appropriate transit time
 //! ([`lower_schedule`] for the channel engines, the port-path
-//! `duration_on` replica for the fabric engine — under both cut-through
+//! duration model of the simulator's network layer — under both cut-through
 //! and store-and-forward, dependents are released only when the last
 //! hop finishes). Chaining over any dependency path lower-bounds the
 //! makespan.

@@ -29,8 +29,8 @@
 //! the output is bit-identical at any worker count. DES-backed commands
 //! (`figures`, `scaleout`, `faults`, `trace`) accept `--fabric
 //! {approx,switch}` to pick the network model: `approx` (default) is the
-//! channel approximation, `switch` runs the componentized switch fabric
-//! (explicit NIC/switch agents with per-port queues); at the passthrough
+//! channel approximation, `switch` runs the explicit switch fabric
+//! (per-port queues); at the passthrough
 //! configuration the two produce identical results. The spine/leaf shape
 //! of the switch fabric is set with `--radix N`, `--spines N`,
 //! `--uplinks N` and `--uplink-policy {hash,least-queued,failover}`

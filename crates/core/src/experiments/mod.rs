@@ -29,8 +29,8 @@
 //! stresses every mode under sampled fault plans (link flaps,
 //! degradation, stragglers) at escalating severity — and
 //! [`scaleout_fabric`] compares the NIC-channel approximation against
-//! the componentized switch fabric (explicit NIC/switch agents,
-//! per-port queues, uplink oversubscription) across hierarchical,
+//! the explicit switch fabric (per-port queues, uplink
+//! oversubscription) across hierarchical,
 //! NVSwitch-class and 2-D torus scale-out topologies, including the
 //! Fig. 14-style NVSwitch and torus sweeps.
 //!

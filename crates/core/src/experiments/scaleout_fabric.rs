@@ -3,9 +3,9 @@
 //!
 //! The historical engines price the scale-out interconnect as ideal
 //! per-NIC channels behind an invisible, non-blocking switch
-//! ([`NetworkModel::ChannelApprox`]). The componentized
-//! [`NetworkModel::SwitchFabric`] makes the switch explicit — NIC and
-//! switch agents, per-port queues, leaf radix, uplink oversubscription —
+//! ([`NetworkModel::ChannelApprox`]). The
+//! [`NetworkModel::SwitchFabric`] model makes the switch explicit —
+//! per-port queues, leaf radix, uplink oversubscription —
 //! so this study asks the question the approximation cannot: *when does
 //! the switch itself start to matter?*
 //!

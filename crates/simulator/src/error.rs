@@ -35,7 +35,7 @@ pub enum SimError {
     },
     /// A fault plan failed validation (an event with a non-positive
     /// window, a degrade rate outside (0, 1], a straggler slowdown below
-    /// 1, or a channel/GPU outside the topology).
+    /// 1 or not finite, or a channel/GPU outside the topology).
     FaultPlanInvalid(String),
 }
 

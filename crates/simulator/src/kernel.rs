@@ -1,26 +1,16 @@
-//! The discrete-event kernel: one event queue for every engine.
+//! The discrete-event kernel under the crate's one scheduler, and the
+//! deterministic RNG every seeded sampler draws from.
 //!
-//! Historically this workspace grew three independent event loops (the
-//! network engine, the system co-simulator, and the multi-iteration
-//! training timeline), each with its own `BinaryHeap`, its own
-//! tie-breaking rules, and no shared observability. [`Kernel`] replaces
-//! all of them: a deterministic future-event queue whose pop order is the
-//! total order `(time, key, sequence)` — `key` is a caller-chosen
-//! priority that reproduces each engine's historical tie-break, and the
-//! monotone `sequence` number makes the order total even for identical
+//! `Kernel` is a deterministic future-event queue whose pop order is the
+//! total order `(time, key, sequence)`: `key` is a caller-chosen
+//! priority (the scheduler's node and fault keys), and the monotone
+//! `sequence` number makes the order total even for identical
 //! `(time, key)` pairs, so replays are bit-identical run to run.
 //!
-//! On top of the raw kernel, [`Simulation`] offers a DSLab-style
-//! component model: handlers register as [`Component`]s, events are
-//! addressed to a [`ComponentId`], and handlers emit follow-up events
-//! through a [`Ctx`]. The production engines drive [`Kernel`] directly
-//! (their schedulers are a single component in effect); the component
-//! layer serves tests, experiments, and new engines.
-//!
-//! Determinism contract: a kernel seeded with the same value, fed the
-//! same `schedule` calls in the same order, pops the same events at the
-//! same times and returns the same [`SimRng`] draws. Nothing in the
-//! kernel reads wall-clock time or ambient randomness.
+//! Determinism contract: a kernel fed the same `schedule` calls in the
+//! same order pops the same events at the same times, and a [`SimRng`]
+//! with the same seed returns the same draws. Nothing here reads
+//! wall-clock time or ambient randomness.
 
 use ccube_topology::Seconds;
 use std::cmp::{Ordering, Reverse};
@@ -78,13 +68,13 @@ impl SimRng {
 
 /// Counters the kernel maintains while running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelStats {
+pub(crate) struct KernelStats {
     /// Events pushed into the queue over the whole run.
-    pub events_scheduled: u64,
+    pub(crate) events_scheduled: u64,
     /// Events popped and handed to the caller.
-    pub events_processed: u64,
+    pub(crate) events_processed: u64,
     /// High-water mark of the future-event queue.
-    pub max_queue_depth: usize,
+    pub(crate) max_queue_depth: usize,
 }
 
 /// One scheduled event; the ordering ignores the payload.
@@ -119,83 +109,39 @@ impl<E> Ord for Scheduled<E> {
 /// A deterministic future-event queue with a simulation clock.
 ///
 /// `E` is the event payload type; the kernel never inspects it.
-///
-/// # Examples
-///
-/// ```
-/// use ccube_sim::kernel::Kernel;
-/// use ccube_topology::Seconds;
-///
-/// let mut k: Kernel<&str> = Kernel::new();
-/// k.schedule(Seconds::from_micros(2.0), 0, "late");
-/// k.schedule(Seconds::from_micros(1.0), 0, "early");
-/// assert_eq!(k.pop().unwrap().1, "early");
-/// assert_eq!(k.now(), Seconds::from_micros(1.0));
-/// ```
 #[derive(Debug, Clone)]
-pub struct Kernel<E> {
+pub(crate) struct Kernel<E> {
     now: Seconds,
     seq: u64,
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
     stats: KernelStats,
-    rng: SimRng,
-}
-
-impl<E> Default for Kernel<E> {
-    fn default() -> Self {
-        Kernel::new()
-    }
 }
 
 impl<E> Kernel<E> {
-    /// A kernel starting at `t = 0` with seed 0.
-    pub fn new() -> Self {
-        Kernel::with_seed(0)
-    }
-
-    /// A kernel starting at `t = 0` with the given RNG seed.
-    pub fn with_seed(seed: u64) -> Self {
+    /// A kernel starting at `t = 0`.
+    pub(crate) fn new() -> Self {
         Kernel {
             now: Seconds::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
             stats: KernelStats::default(),
-            rng: SimRng::new(seed),
         }
     }
 
-    /// A seed-0 kernel whose event heap is pre-allocated for `capacity`
-    /// pending events, so an engine that knows its event population up
-    /// front (one completion per transfer, say) never regrows the heap
-    /// mid-run.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut k = Kernel::new();
-        k.heap.reserve(capacity);
-        k
-    }
-
-    /// Pre-allocates room for `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Rewinds the kernel to a fresh `t = 0` state with the given seed,
-    /// keeping the event heap's allocation. A reset kernel is
-    /// observationally identical to `Kernel::with_seed(seed)` — same
-    /// clock, sequence counter, stats, and RNG stream — so a run on a
-    /// recycled kernel replays bit-identically to one on a fresh kernel
-    /// (the arena-reuse contract the prep-cache layer relies on).
-    pub fn reset(&mut self, seed: u64) {
+    /// Rewinds the kernel to a fresh `t = 0` state, keeping the event
+    /// heap's allocation. A reset kernel is observationally identical to
+    /// `Kernel::new()` — same clock, sequence counter and stats — so a
+    /// run on a recycled kernel replays bit-identically.
+    pub(crate) fn reset(&mut self) {
         self.now = Seconds::ZERO;
         self.seq = 0;
         self.heap.clear();
         self.stats = KernelStats::default();
-        self.rng = SimRng::new(seed);
     }
 
     /// The current simulation time (the timestamp of the last popped
     /// event).
-    pub fn now(&self) -> Seconds {
+    pub(crate) fn now(&self) -> Seconds {
         self.now
     }
 
@@ -206,7 +152,7 @@ impl<E> Kernel<E> {
     ///
     /// Panics (debug) if `time` is before the current clock — the past
     /// is immutable in a DES.
-    pub fn schedule(&mut self, time: Seconds, key: u64, event: E) {
+    pub(crate) fn schedule(&mut self, time: Seconds, key: u64, event: E) {
         debug_assert!(time >= self.now, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
@@ -220,243 +166,25 @@ impl<E> Kernel<E> {
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.heap.len());
     }
 
-    /// Schedules `event` at `now() + delay`.
-    pub fn schedule_in(&mut self, delay: Seconds, key: u64, event: E) {
-        self.schedule(self.now + delay, key, event);
-    }
-
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Seconds, E)> {
+    /// Pops the next event with its key, advancing the clock to its
+    /// timestamp.
+    pub(crate) fn pop(&mut self) -> Option<(Seconds, u64, E)> {
         let Reverse(s) = self.heap.pop()?;
         self.now = s.time;
         self.stats.events_processed += 1;
-        Some((s.time, s.event))
-    }
-
-    /// The timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|Reverse(s)| s.time)
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
+        Some((s.time, s.key, s.event))
     }
 
     /// The kernel's counters.
-    pub fn stats(&self) -> KernelStats {
+    pub(crate) fn stats(&self) -> KernelStats {
         self.stats
-    }
-
-    /// The kernel's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-}
-
-/// Identifies a registered [`Component`] within a [`Simulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentId(pub u32);
-
-impl ComponentId {
-    /// The id as an array index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// The handler context passed to [`Component::on_event`]: lets a handler
-/// read the clock, draw deterministic randomness, and emit follow-up
-/// events without borrowing the simulation itself.
-pub struct Ctx<'a, E> {
-    now: Seconds,
-    self_id: ComponentId,
-    rng: &'a mut SimRng,
-    emitted: &'a mut Vec<(Seconds, ComponentId, Option<u64>, E)>,
-}
-
-impl<E> Ctx<'_, E> {
-    /// The current simulation time.
-    pub fn now(&self) -> Seconds {
-        self.now
-    }
-
-    /// The id of the component being invoked.
-    pub fn self_id(&self) -> ComponentId {
-        self.self_id
-    }
-
-    /// The simulation's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    /// Emits `event` to `dst` after `delay`.
-    pub fn emit(&mut self, dst: ComponentId, delay: Seconds, event: E) {
-        self.emitted.push((self.now + delay, dst, None, event));
-    }
-
-    /// Emits `event` to `dst` after `delay` with an explicit tie-break
-    /// `key` overriding the default destination-id key. Engines that
-    /// must reproduce a domain-specific pop order (e.g. transfer-id
-    /// tie-breaks) use this to keep equal-time deliveries deterministic
-    /// in that domain order rather than component-registration order.
-    pub fn emit_keyed(&mut self, dst: ComponentId, delay: Seconds, key: u64, event: E) {
-        self.emitted.push((self.now + delay, dst, Some(key), event));
-    }
-
-    /// Emits `event` to the component itself after `delay`.
-    pub fn emit_self(&mut self, delay: Seconds, event: E) {
-        self.emit(self.self_id, delay, event);
-    }
-}
-
-/// An event handler registered with a [`Simulation`].
-pub trait Component<E> {
-    /// Handles one event addressed to this component.
-    fn on_event(&mut self, event: E, ctx: &mut Ctx<'_, E>);
-}
-
-/// A DSLab-style component simulation over [`Kernel`].
-///
-/// Events are addressed to components; the tie-break key is the
-/// destination id, so delivery order between components at equal times
-/// is by registration order, deterministically.
-///
-/// # Examples
-///
-/// ```
-/// use ccube_sim::kernel::{Component, ComponentId, Ctx, Simulation};
-/// use ccube_topology::Seconds;
-///
-/// struct Counter(u32);
-/// impl Component<u32> for Counter {
-///     fn on_event(&mut self, ttl: u32, ctx: &mut Ctx<'_, u32>) {
-///         self.0 += 1;
-///         if ttl > 0 {
-///             ctx.emit_self(Seconds::from_micros(1.0), ttl - 1);
-///         }
-///     }
-/// }
-///
-/// let mut sim = Simulation::with_seed(7);
-/// let c = sim.add_component(Counter(0));
-/// sim.emit(Seconds::ZERO, c, 4u32);
-/// sim.run();
-/// assert_eq!(sim.now(), Seconds::from_micros(4.0));
-/// ```
-pub struct Simulation<E> {
-    kernel: Kernel<(ComponentId, E)>,
-    components: Vec<Box<dyn Component<E>>>,
-    emitted: Vec<(Seconds, ComponentId, Option<u64>, E)>,
-}
-
-impl<E> Simulation<E> {
-    /// A simulation with the given RNG seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Simulation {
-            kernel: Kernel::with_seed(seed),
-            components: Vec::new(),
-            emitted: Vec::new(),
-        }
-    }
-
-    /// Registers `component` and returns its id.
-    pub fn add_component(&mut self, component: impl Component<E> + 'static) -> ComponentId {
-        let id = ComponentId(self.components.len() as u32);
-        self.components.push(Box::new(component));
-        id
-    }
-
-    /// Schedules `event` for `dst` at absolute `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not a registered component.
-    pub fn emit(&mut self, time: Seconds, dst: ComponentId, event: E) {
-        assert!(
-            dst.index() < self.components.len(),
-            "unknown component {dst:?}"
-        );
-        self.kernel.schedule(time, u64::from(dst.0), (dst, event));
-    }
-
-    /// Schedules `event` for `dst` at absolute `time` with an explicit
-    /// tie-break `key` (see [`Ctx::emit_keyed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not a registered component.
-    pub fn emit_keyed(&mut self, time: Seconds, dst: ComponentId, key: u64, event: E) {
-        assert!(
-            dst.index() < self.components.len(),
-            "unknown component {dst:?}"
-        );
-        self.kernel.schedule(time, key, (dst, event));
-    }
-
-    /// Delivers the next event; returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((now, (dst, event))) = self.kernel.pop() else {
-            return false;
-        };
-        let mut ctx = Ctx {
-            now,
-            self_id: dst,
-            rng: &mut self.kernel.rng,
-            emitted: &mut self.emitted,
-        };
-        self.components[dst.index()].on_event(event, &mut ctx);
-        for (time, to, key, ev) in self.emitted.drain(..) {
-            assert!(
-                to.index() < self.components.len(),
-                "unknown component {to:?}"
-            );
-            let key = key.unwrap_or(u64::from(to.0));
-            self.kernel.schedule(time, key, (to, ev));
-        }
-        true
-    }
-
-    /// Runs until no events remain; returns the number processed.
-    pub fn run(&mut self) -> u64 {
-        let before = self.kernel.stats().events_processed;
-        while self.step() {}
-        self.kernel.stats().events_processed - before
-    }
-
-    /// The current simulation time.
-    pub fn now(&self) -> Seconds {
-        self.kernel.now()
-    }
-
-    /// The underlying kernel's counters.
-    pub fn stats(&self) -> KernelStats {
-        self.kernel.stats()
-    }
-
-    /// Drains the simulation back to an empty `t = 0` state with the
-    /// given seed: all components are dropped, pending events are
-    /// discarded, and the kernel is [`Kernel::reset`] — but the event
-    /// heap, component vector, and emission buffer keep their
-    /// allocations. Re-registering the same components and emitting the
-    /// same events afterwards replays bit-identically to a fresh
-    /// `Simulation::with_seed(seed)`.
-    pub fn reset(&mut self, seed: u64) {
-        self.kernel.reset(seed);
-        self.components.clear();
-        self.emitted.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_key_seq_order() {
@@ -466,7 +194,7 @@ mod tests {
         k.schedule(t, 1, 101);
         k.schedule(Seconds::from_micros(1.0), 9, 9);
         k.schedule(t, 1, 201); // same (time, key): scheduling order wins
-        let order: Vec<u32> = std::iter::from_fn(|| k.pop().map(|(_, e)| e)).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| k.pop().map(|(_, _, e)| e)).collect();
         assert_eq!(order, vec![9, 101, 201, 102]);
     }
 
@@ -477,7 +205,7 @@ mod tests {
             k.schedule(Seconds::from_micros(10.0 - i as f64), 0, ());
         }
         let mut prev = Seconds::ZERO;
-        while let Some((t, ())) = k.pop() {
+        while let Some((t, _, ())) = k.pop() {
             assert!(t >= prev);
             prev = t;
         }
@@ -504,37 +232,42 @@ mod tests {
         assert_ne!(f1.next_u64(), f3.next_u64());
     }
 
-    struct PingPong {
-        peer: Option<ComponentId>,
-        received: u32,
-    }
-
-    impl Component<u32> for PingPong {
-        fn on_event(&mut self, ttl: u32, ctx: &mut Ctx<'_, u32>) {
-            self.received += 1;
-            if ttl > 0 {
-                let to = self.peer.expect("peer wired");
-                ctx.emit(to, Seconds::from_micros(1.0), ttl - 1);
-            }
-        }
-    }
-
     #[test]
-    fn components_exchange_events() {
-        let mut sim: Simulation<u32> = Simulation::with_seed(1);
-        let a = sim.add_component(PingPong {
-            peer: None,
-            received: 0,
-        });
-        let b = sim.add_component(PingPong {
-            peer: Some(a),
-            received: 0,
-        });
-        // b forwards the countdown to a, which stops at ttl 0.
-        sim.emit(Seconds::ZERO, b, 1);
-        let processed = sim.run();
-        assert_eq!(processed, 2); // b at t=0, a at t=1µs
-        assert_eq!(sim.now(), Seconds::from_micros(1.0));
-        let _ = (a, b);
+    fn pops_earliest_first_and_advances_the_clock() {
+        let mut k: Kernel<&str> = Kernel::new();
+        k.schedule(Seconds::from_micros(2.0), 0, "late");
+        k.schedule(Seconds::from_micros(1.0), 0, "early");
+        assert_eq!(k.pop().unwrap().2, "early");
+        assert_eq!(k.now(), Seconds::from_micros(1.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn kernel_pops_any_event_set_in_total_order(
+            times in prop::collection::vec(0u64..1000, 1..64),
+        ) {
+            // Whatever the insertion order, events pop sorted by
+            // (time, key, seq) — replaying the same set twice gives the
+            // same sequence.
+            let mut runs = Vec::new();
+            for _ in 0..2 {
+                let mut kernel: Kernel<usize> = Kernel::new();
+                for (i, &t) in times.iter().enumerate() {
+                    kernel.schedule(Seconds::from_micros(t as f64), t % 7, i);
+                }
+                let mut popped = Vec::new();
+                while let Some((at, key, ev)) = kernel.pop() {
+                    popped.push((at, key, ev));
+                }
+                prop_assert_eq!(popped.len(), times.len());
+                for w in popped.windows(2) {
+                    prop_assert!(w[0].0 <= w[1].0, "clock went backwards");
+                }
+                runs.push(popped);
+            }
+            prop_assert_eq!(&runs[0], &runs[1]);
+        }
     }
 }

@@ -48,7 +48,8 @@ pub mod faults;
 pub mod kernel;
 pub mod prep;
 mod report;
-pub mod resource;
+mod resource;
+mod scheduler;
 pub mod severance;
 pub mod sweep;
 pub mod system;
@@ -60,22 +61,17 @@ pub use engine::{simulate, Arbitration, SimOptions};
 pub use error::SimError;
 pub use fabric::{FabricSpec, HopMode, NetworkModel, UplinkPolicy};
 pub use faults::{
-    forever, simulate_faulted, simulate_system_faulted, FaultDriver, FaultEvent, FaultModel,
-    FaultPlan, FaultSignal,
+    forever, simulate_faulted, simulate_system_faulted, FaultEvent, FaultModel, FaultPlan,
 };
-pub use kernel::{Component, ComponentId, Ctx, Kernel, KernelStats, SimRng, Simulation};
+pub use kernel::SimRng;
 pub use prep::{
     prep_cache_enabled, prep_cache_len, prep_cache_stats, reset_prep_cache, set_prep_cache_enabled,
     PrepCacheStats,
 };
 pub use report::{SimReport, SimStats, TransferTiming};
-pub use resource::{ChannelPool, ComputeStream};
 pub use severance::analyze_severance;
 pub use sweep::{available_threads, sweep, sweep_seeded, threads_from_args};
-pub use system::{
-    simulate_system, simulate_system_with_slowdowns, ComputeTask, ComputeTaskId, SystemJob,
-    SystemReport,
-};
+pub use system::{simulate_system, ComputeTask, ComputeTaskId, SystemJob, SystemReport};
 pub use timeline::{render_channel_timeline, render_timeline, TimelineOptions};
 pub use trace::{diff_csv, utilization_bins, BusyInterval, SimTrace, TraceDiff, TraceRecord};
 pub use trace_html::{diff_to_html, extract_payload, scene_json, to_html, LaneLabels};

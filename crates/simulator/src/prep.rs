@@ -297,13 +297,14 @@ fn fp_fabric(spec: &FabricSpec) -> u128 {
 // Engine entry points
 // ---------------------------------------------------------------------
 
-/// A prepared lowering handed to an engine: the specs plus the cache key
+/// A prepared lowering handed to the scheduler: the specs plus the cache key
 /// they were found under (None when the cache is disabled), so follow-up
 /// lookups (port paths) skip re-fingerprinting.
 pub(crate) struct Prep {
     key: Option<u128>,
     /// Lowered transfer specs for the requested `(payload, timing)`
-    /// point. Shared: engines that must mutate specs clone the `Vec`.
+    /// point. Shared: the fault layer clones them only when a reroute
+    /// edits one.
     pub specs: Rc<Vec<TransferSpec>>,
 }
 

@@ -152,7 +152,7 @@ enum TaskState {
 /// [`Arbitration::ChunkPriority`]. A task occupies **all** channels of
 /// its path at once (wormhole switching) or none.
 #[derive(Debug, Clone)]
-pub struct ChannelPool {
+pub(crate) struct ChannelPool {
     arbitration: Arbitration,
     paths: Vec<Vec<ChannelId>>,
     keys: Vec<(u32, u32)>,
@@ -189,7 +189,7 @@ pub struct ChannelPool {
 
 impl ChannelPool {
     /// A pool over `num_channels` channels with the given policy.
-    pub fn new(num_channels: usize, arbitration: Arbitration) -> Self {
+    pub(crate) fn new(num_channels: usize, arbitration: Arbitration) -> Self {
         ChannelPool {
             arbitration,
             paths: Vec::new(),
@@ -210,22 +210,12 @@ impl ChannelPool {
         }
     }
 
-    /// Pre-allocates the per-task bookkeeping for `num_tasks` upcoming
-    /// [`ChannelPool::add_task`] calls.
-    pub fn reserve_tasks(&mut self, num_tasks: usize) {
-        self.paths.reserve(num_tasks);
-        self.keys.reserve(num_tasks);
-        self.state.reserve(num_tasks);
-        self.enqueued_at.reserve(num_tasks);
-        self.started_at.reserve(num_tasks);
-    }
-
     /// Registers a task; ids are dense and assigned in call order.
     ///
     /// # Panics
     ///
     /// Panics if the path is empty or references an unknown channel.
-    pub fn add_task(&mut self, path: Vec<ChannelId>, key: (u32, u32)) -> u32 {
+    pub(crate) fn add_task(&mut self, path: Vec<ChannelId>, key: (u32, u32)) -> u32 {
         assert!(!path.is_empty(), "a task needs at least one channel");
         assert!(
             path.iter().all(|c| c.index() < self.free.len()),
@@ -240,7 +230,7 @@ impl ChannelPool {
         id
     }
 
-    /// Registers a task from a borrowed path, recycling a path buffer
+    /// Registers a task from an iterated path, recycling a path buffer
     /// freed by [`ChannelPool::reset`] when one is available — the
     /// zero-alloc re-registration path for arena-reused pools. Identical
     /// to [`ChannelPool::add_task`] in every observable way.
@@ -248,9 +238,13 @@ impl ChannelPool {
     /// # Panics
     ///
     /// As [`ChannelPool::add_task`].
-    pub fn add_task_path(&mut self, path: &[ChannelId], key: (u32, u32)) -> u32 {
+    pub(crate) fn add_task_path(
+        &mut self,
+        path: impl IntoIterator<Item = ChannelId>,
+        key: (u32, u32),
+    ) -> u32 {
         let mut buf = self.spare_paths.pop().unwrap_or_default();
-        buf.extend_from_slice(path);
+        buf.extend(path);
         self.add_task(buf, key)
     }
 
@@ -261,7 +255,7 @@ impl ChannelPool {
     /// and recycled into the pool [`ChannelPool::add_task_path`] draws
     /// from. A reset pool behaves bit-identically to a fresh one — the
     /// arena-reuse half of the prep-cache equivalence contract.
-    pub fn reset(&mut self, num_channels: usize, arbitration: Arbitration) {
+    pub(crate) fn reset(&mut self, num_channels: usize, arbitration: Arbitration) {
         self.arbitration = arbitration;
         for mut p in self.paths.drain(..) {
             p.clear();
@@ -294,13 +288,8 @@ impl ChannelPool {
         self.force_starts = 0;
     }
 
-    /// Number of registered tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.paths.len()
-    }
-
     /// The channel path of `task`.
-    pub fn path(&self, task: u32) -> &[ChannelId] {
+    pub(crate) fn path(&self, task: u32) -> &[ChannelId] {
         &self.paths[task as usize]
     }
 
@@ -308,7 +297,7 @@ impl ChannelPool {
     /// task started immediately (the caller must then schedule its
     /// completion event at `now + duration`); otherwise it waits in its
     /// channels' queues.
-    pub fn mark_ready(&mut self, task: u32, now: Seconds, trace: &mut SimTrace) -> bool {
+    pub(crate) fn mark_ready(&mut self, task: u32, now: Seconds, trace: &mut SimTrace) -> bool {
         debug_assert_eq!(self.state[task as usize], TaskState::Pending);
         self.state[task as usize] = TaskState::Ready;
         self.try_start(task, now, false, trace)
@@ -326,7 +315,7 @@ impl ChannelPool {
     /// queues — call [`ChannelPool::serve`] after the caller has
     /// processed the completion's dependency fallout, preserving the
     /// historical unblock-then-serve order.
-    pub fn complete(&mut self, task: u32, now: Seconds) {
+    pub(crate) fn complete(&mut self, task: u32, now: Seconds) {
         let t = task as usize;
         debug_assert_eq!(self.state[t], TaskState::Running);
         self.state[t] = TaskState::Done;
@@ -345,7 +334,13 @@ impl ChannelPool {
     /// Serves the waiter queues of the channels a completed `task` just
     /// released, starting every waiter the policy admits. Started task
     /// ids are appended to `started` in start order.
-    pub fn serve(&mut self, task: u32, now: Seconds, trace: &mut SimTrace, started: &mut Vec<u32>) {
+    pub(crate) fn serve(
+        &mut self,
+        task: u32,
+        now: Seconds,
+        trace: &mut SimTrace,
+        started: &mut Vec<u32>,
+    ) {
         for i in 0..self.paths[task as usize].len() {
             let c = self.paths[task as usize][i];
             self.serve_channel(c, now, trace, started);
@@ -362,7 +357,7 @@ impl ChannelPool {
     /// either way the queue advances only while its front can start,
     /// and a blocked front leaves the channel idle (reserved for it
     /// under ChunkPriority).
-    pub fn serve_channel(
+    pub(crate) fn serve_channel(
         &mut self,
         channel: ChannelId,
         now: Seconds,
@@ -383,7 +378,7 @@ impl ChannelPool {
     /// ready task whose channels are free, bypassing chunk priority.
     /// Returns the started task, or `None` if nothing can run (a true
     /// deadlock).
-    pub fn force_start(&mut self, now: Seconds, trace: &mut SimTrace) -> Option<u32> {
+    pub(crate) fn force_start(&mut self, now: Seconds, trace: &mut SimTrace) -> Option<u32> {
         // The ready set is collected and key-sorted here, per stall
         // round, rather than maintained eagerly: keys are unique, so the
         // ascending-key scan order is exactly the one a sorted ready
@@ -502,21 +497,21 @@ impl ChannelPool {
     /// crosses the channel wait in its queue (or get re-routed by the
     /// fault driver). In-flight occupants are unaffected: a flap is
     /// detected at grant time, not mid-wormhole.
-    pub fn set_link_down(&mut self, channel: ChannelId) {
+    pub(crate) fn set_link_down(&mut self, channel: ChannelId) {
         self.link_down[channel.index()] += 1;
     }
 
     /// Lifts one link-down fault from `channel`. The channel serves
     /// again once **every** overlapping fault has lifted; the caller
     /// should then [`ChannelPool::serve_channel`] it.
-    pub fn set_link_up(&mut self, channel: ChannelId) {
+    pub(crate) fn set_link_up(&mut self, channel: ChannelId) {
         let ci = channel.index();
         debug_assert!(self.link_down[ci] > 0, "link-up without a matching down");
         self.link_down[ci] -= 1;
     }
 
     /// Whether `channel` is currently down.
-    pub fn is_link_down(&self, channel: ChannelId) -> bool {
+    pub(crate) fn is_link_down(&self, channel: ChannelId) -> bool {
         self.link_down[channel.index()] > 0
     }
 
@@ -527,7 +522,7 @@ impl ChannelPool {
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn is_free(&self, channel: ChannelId) -> bool {
+    pub(crate) fn is_free(&self, channel: ChannelId) -> bool {
         self.free[channel.index()]
     }
 
@@ -541,7 +536,7 @@ impl ChannelPool {
     ///
     /// Panics if the new path is empty or references an unknown
     /// channel; debug-panics if the task is running or done.
-    pub fn reroute(&mut self, task: u32, new_path: Vec<ChannelId>) {
+    pub(crate) fn reroute(&mut self, task: u32, new_path: Vec<ChannelId>) {
         assert!(!new_path.is_empty(), "a task needs at least one channel");
         assert!(
             new_path.iter().all(|c| c.index() < self.free.len()),
@@ -572,52 +567,41 @@ impl ChannelPool {
     /// Tries to start a `Ready` task under the normal
     /// (non-forced) policy — e.g. after a re-route moved it onto free
     /// channels. Returns `true` if it started; `false` leaves it queued.
-    pub fn poke(&mut self, task: u32, now: Seconds, trace: &mut SimTrace) -> bool {
+    pub(crate) fn poke(&mut self, task: u32, now: Seconds, trace: &mut SimTrace) -> bool {
         self.try_start(task, now, false, trace)
     }
 
     /// Whether `task` is currently occupying its channels.
-    pub fn is_running(&self, task: u32) -> bool {
+    pub(crate) fn is_running(&self, task: u32) -> bool {
         self.state[task as usize] == TaskState::Running
     }
 
     /// Whether `task` has completed.
-    pub fn is_done(&self, task: u32) -> bool {
+    pub(crate) fn is_done(&self, task: u32) -> bool {
         self.state[task as usize] == TaskState::Done
     }
 
-    /// When `task` last acquired its channels.
-    pub fn started_at(&self, task: u32) -> Seconds {
-        self.started_at[task as usize]
-    }
-
     /// Total busy time per channel.
-    pub fn busy(&self) -> &[Seconds] {
+    pub(crate) fn busy(&self) -> &[Seconds] {
         &self.busy
-    }
-
-    /// Busy intervals per channel, in completion order.
-    pub fn into_intervals(self) -> Vec<Vec<BusyInterval>> {
-        self.intervals
     }
 
     /// Takes the per-channel busy intervals out of the pool without
     /// consuming it, leaving an empty interval table behind (rebuilt by
-    /// the next [`ChannelPool::reset`]). The arena path's replacement
-    /// for [`ChannelPool::into_intervals`].
-    pub fn take_intervals(&mut self) -> Vec<Vec<BusyInterval>> {
+    /// the next [`ChannelPool::reset`]).
+    pub(crate) fn take_intervals(&mut self) -> Vec<Vec<BusyInterval>> {
         std::mem::take(&mut self.intervals)
     }
 
     /// Total queue wait charged to each channel: every started task that
     /// had to wait contributes its full wait to **each** channel of its
     /// path.
-    pub fn queue_wait(&self) -> &[Seconds] {
+    pub(crate) fn queue_wait(&self) -> &[Seconds] {
         &self.queue_wait
     }
 
     /// High-water mark across the per-channel waiter queues.
-    pub fn max_waiting(&self) -> usize {
+    pub(crate) fn max_waiting(&self) -> usize {
         self.max_waiting
     }
 
@@ -627,12 +611,12 @@ impl ChannelPool {
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn waiting_on(&self, channel: ChannelId) -> usize {
+    pub(crate) fn waiting_on(&self, channel: ChannelId) -> usize {
         self.waiters[channel.index()].len()
     }
 
     /// Number of force-starts used to break reservation stalls.
-    pub fn force_starts(&self) -> u64 {
+    pub(crate) fn force_starts(&self) -> u64 {
         self.force_starts
     }
 }
@@ -644,7 +628,7 @@ impl ChannelPool {
 /// the store-and-forward kernel holds SMs, so co-resident compute runs
 /// at `1 / (1 - occupied_fraction)` of its nominal time (Fig. 15).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ComputeStream {
+pub(crate) struct ComputeStream {
     slowdown: f64,
     free: bool,
     waiters: VecDeque<u32>,
@@ -652,27 +636,11 @@ pub struct ComputeStream {
     max_waiting: usize,
 }
 
-impl Default for ComputeStream {
-    fn default() -> Self {
-        ComputeStream::new()
-    }
-}
-
 impl ComputeStream {
     /// A stream at nominal speed.
-    pub fn new() -> Self {
-        ComputeStream::with_slowdown(1.0)
-    }
-
-    /// A stream whose tasks run `slowdown`× longer than nominal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slowdown < 1.0`.
-    pub fn with_slowdown(slowdown: f64) -> Self {
-        assert!(slowdown >= 1.0, "slowdown must be >= 1.0");
+    pub(crate) fn new() -> Self {
         ComputeStream {
-            slowdown,
+            slowdown: 1.0,
             free: true,
             waiters: VecDeque::new(),
             busy: Seconds::ZERO,
@@ -681,31 +649,31 @@ impl ComputeStream {
     }
 
     /// The stream's slowdown factor.
-    pub fn slowdown(&self) -> f64 {
+    pub(crate) fn slowdown(&self) -> f64 {
         self.slowdown
     }
 
     /// Re-sets the slowdown factor (a straggler window opening or
-    /// closing). Affects tasks scaled after the call; the fault driver
+    /// closing). Affects tasks scaled after the call; the fault layer
     /// rescales in-flight completions itself.
     ///
     /// # Panics
     ///
     /// Panics if `slowdown < 1.0`.
-    pub fn set_slowdown(&mut self, slowdown: f64) {
+    pub(crate) fn set_slowdown(&mut self, slowdown: f64) {
         assert!(slowdown >= 1.0, "slowdown must be >= 1.0");
         self.slowdown = slowdown;
     }
 
     /// A nominal duration stretched by the slowdown factor.
-    pub fn scale(&self, nominal: Seconds) -> Seconds {
+    pub(crate) fn scale(&self, nominal: Seconds) -> Seconds {
         nominal * self.slowdown
     }
 
     /// Tries to acquire the stream for `task`. Returns `true` if the
     /// task starts now (the caller schedules its completion after
     /// [`ComputeStream::scale`]d duration); otherwise it queues FIFO.
-    pub fn acquire(&mut self, task: u32) -> bool {
+    pub(crate) fn acquire(&mut self, task: u32) -> bool {
         if self.free {
             self.free = false;
             true
@@ -719,7 +687,7 @@ impl ComputeStream {
     /// Releases the stream after a task ran for `occupancy` (already
     /// scaled). If a waiter exists it immediately takes the stream, and
     /// its id is returned for the caller to start.
-    pub fn release(&mut self, occupancy: Seconds) -> Option<u32> {
+    pub(crate) fn release(&mut self, occupancy: Seconds) -> Option<u32> {
         self.busy += occupancy;
         match self.waiters.pop_front() {
             Some(next) => Some(next),
@@ -731,12 +699,12 @@ impl ComputeStream {
     }
 
     /// Total busy time of the stream.
-    pub fn busy(&self) -> Seconds {
+    pub(crate) fn busy(&self) -> Seconds {
         self.busy
     }
 
     /// High-water mark of the stream's waiter queue.
-    pub fn max_waiting(&self) -> usize {
+    pub(crate) fn max_waiting(&self) -> usize {
         self.max_waiting
     }
 }
@@ -764,7 +732,9 @@ mod tests {
         let mut started = Vec::new();
         p.serve(a, us(5.0), &mut tr, &mut started);
         assert_eq!(started, vec![b]);
-        assert_eq!(p.started_at(b), us(5.0));
+        // b started when a released the channel: 5 µs + 3 µs busy.
+        p.complete(b, us(8.0));
+        assert_eq!(p.busy()[0], us(8.0));
         // b waited 5µs; the wait is charged to channel 0.
         assert_eq!(p.queue_wait()[0], us(5.0));
         assert!(tr
@@ -815,7 +785,7 @@ mod tests {
         assert!(p.mark_ready(a, us(2.0), &mut tr));
         p.complete(a, us(6.0));
         assert_eq!(p.busy()[0], us(6.0) - us(2.0));
-        let iv = p.into_intervals();
+        let iv = p.take_intervals();
         assert_eq!(iv[0].len(), 1);
         assert_eq!(iv[0][0].start, us(2.0));
         assert_eq!(iv[0][0].end, us(6.0));
@@ -879,7 +849,8 @@ mod tests {
 
     #[test]
     fn compute_stream_serializes_and_scales() {
-        let mut s = ComputeStream::with_slowdown(2.0);
+        let mut s = ComputeStream::new();
+        s.set_slowdown(2.0);
         assert_eq!(s.scale(us(3.0)), us(6.0));
         assert!(s.acquire(0));
         assert!(!s.acquire(1)); // queued

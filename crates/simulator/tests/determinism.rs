@@ -1,4 +1,4 @@
-//! Determinism properties of the DES kernel and the engines built on it.
+//! Determinism properties of the simulator entry points.
 //!
 //! The kernel's total event order `(time, key, seq)` makes every run a
 //! pure function of its inputs: simulating the same schedule twice must
@@ -9,7 +9,7 @@
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, BinaryTree, Chunking, DoubleBinaryTree, Embedding, Overlap,
 };
-use ccube_sim::{simulate, Arbitration, Kernel, SimOptions, SimReport};
+use ccube_sim::{simulate, Arbitration, SimOptions, SimReport};
 use ccube_topology::{dgx1, hierarchical, ByteSize, Topology};
 use proptest::prelude::*;
 
@@ -101,33 +101,5 @@ proptest! {
         // this exercises the contended paths of the pool.
         let report = assert_deterministic(&topo, &s, &e, &opts);
         prop_assert!(report.makespan() > ccube_topology::Seconds::ZERO);
-    }
-
-    #[test]
-    fn kernel_pops_any_event_set_in_total_order(
-        times in prop::collection::vec(0u64..1000, 1..64),
-        seed in 0u64..1024,
-    ) {
-        // Whatever the insertion order, events pop sorted by
-        // (time, key, seq) — replaying the same set twice gives the same
-        // sequence.
-        let mut runs = Vec::new();
-        for _ in 0..2 {
-            let mut kernel: Kernel<usize> = Kernel::with_seed(seed);
-            for (i, &t) in times.iter().enumerate() {
-                let at = ccube_topology::Seconds::from_micros(t as f64);
-                kernel.schedule(at, t % 7, i);
-            }
-            let mut popped = Vec::new();
-            while let Some((at, ev)) = kernel.pop() {
-                popped.push((at, ev));
-            }
-            prop_assert_eq!(popped.len(), times.len());
-            for w in popped.windows(2) {
-                prop_assert!(w[0].0 <= w[1].0, "clock went backwards");
-            }
-            runs.push(popped);
-        }
-        prop_assert_eq!(&runs[0], &runs[1]);
     }
 }

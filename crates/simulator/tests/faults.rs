@@ -329,3 +329,170 @@ proptest! {
         }
     }
 }
+
+/// A straggler model whose slowdown is not finite: sampled plans skip
+/// `FaultPlan::new`, so the engine's own validation must reject them.
+#[test]
+fn non_finite_straggler_slowdowns_are_rejected_not_panics() {
+    let topo = dgx1();
+    let (s, e) = c1(&topo);
+    let infinite = FaultEvent::Straggler {
+        gpu: GpuId(1),
+        from: Seconds::ZERO,
+        until: Seconds::from_micros(50.0),
+        slowdown: f64::INFINITY,
+    };
+    assert!(matches!(
+        FaultPlan::new(vec![infinite]),
+        Err(SimError::FaultPlanInvalid(_))
+    ));
+    let horizon = Seconds::from_millis(1.0);
+    let model = FaultModel {
+        straggler_slowdown: f64::INFINITY,
+        ..FaultModel::severity(3, horizon)
+    };
+    let plan = FaultPlan::sample(&model, &topo, &SimRng::new(5));
+    assert!(plan
+        .events()
+        .iter()
+        .any(|ev| matches!(ev, FaultEvent::Straggler { .. })));
+    let job = SystemJob {
+        schedule: s,
+        compute: vec![ccube_sim::ComputeTask {
+            id: ccube_sim::ComputeTaskId(0),
+            gpu: GpuId(1),
+            duration: Seconds::from_micros(100.0),
+            deps_compute: vec![],
+            deps_transfers: vec![],
+            label: "bwd".into(),
+        }],
+        transfer_gates: vec![],
+    };
+    let r = simulate_system_faulted(&topo, &job, &e, &SimOptions::default(), &plan);
+    assert!(matches!(r, Err(SimError::FaultPlanInvalid(_))), "{r:?}");
+}
+
+#[test]
+fn sampled_zero_degrade_rates_are_rejected_not_panics() {
+    let topo = dgx1();
+    let (s, e) = c1(&topo);
+    let model = FaultModel {
+        degrade_rate: 0.0,
+        ..FaultModel::severity(3, Seconds::from_millis(1.0))
+    };
+    let plan = FaultPlan::sample(&model, &topo, &SimRng::new(5));
+    assert!(plan
+        .events()
+        .iter()
+        .any(|ev| matches!(ev, FaultEvent::Degraded { .. })));
+    let r = simulate_faulted(&topo, &s, &e, &SimOptions::default(), &plan);
+    assert!(matches!(r, Err(SimError::FaultPlanInvalid(_))), "{r:?}");
+}
+
+/// Asserts that a run under `plan` reproduces the empty-plan run's
+/// makespan, per-transfer completions and channel busy time bit-for-bit.
+fn assert_inert(
+    topo: &Topology,
+    s: &Schedule,
+    e: &Embedding,
+    opts: &SimOptions,
+    plan: &FaultPlan,
+    what: &str,
+) {
+    let base = simulate_faulted(topo, s, e, opts, &FaultPlan::empty()).expect("healthy run");
+    let run = simulate_faulted(topo, s, e, opts, plan).expect("inert run");
+    let bits = |xs: &[Seconds]| {
+        xs.iter()
+            .map(|x| x.as_secs_f64().to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        run.makespan.as_secs_f64().to_bits(),
+        base.makespan.as_secs_f64().to_bits(),
+        "{what}: makespan"
+    );
+    assert_eq!(
+        bits(&run.transfer_complete),
+        bits(&base.transfer_complete),
+        "{what}: completions"
+    );
+    assert_eq!(
+        bits(&run.channel_busy),
+        bits(&base.channel_busy),
+        "{what}: channel busy"
+    );
+}
+
+/// The three inert plans for a run: a link-down on a channel the
+/// schedule never uses, a fault that starts after the makespan, and a
+/// whole-run degradation at rate 1.0.
+fn inert_plans(topo: &Topology, s: &Schedule, e: &Embedding, opts: &SimOptions) -> Vec<FaultPlan> {
+    let base = simulate_faulted(topo, s, e, opts, &FaultPlan::empty()).expect("healthy run");
+    let used = base
+        .channel_busy
+        .iter()
+        .position(|b| *b > Seconds::ZERO)
+        .expect("some channel is used");
+    let unused = base
+        .channel_busy
+        .iter()
+        .position(|b| *b == Seconds::ZERO)
+        .expect("some channel is idle");
+    let channel = |i: usize| ChannelId(i as u32);
+    vec![
+        FaultPlan::new(vec![FaultEvent::LinkDown {
+            channel: channel(unused),
+            from: Seconds::ZERO,
+            until: forever(),
+        }])
+        .unwrap(),
+        FaultPlan::new(vec![FaultEvent::LinkDown {
+            channel: channel(used),
+            from: base.makespan * 2.0,
+            until: forever(),
+        }])
+        .unwrap(),
+        FaultPlan::new(vec![FaultEvent::Degraded {
+            channel: channel(used),
+            from: Seconds::ZERO,
+            until: forever(),
+            rate: 1.0,
+        }])
+        .unwrap(),
+    ]
+}
+
+#[test]
+fn inert_plans_reproduce_the_empty_plan_run_on_channels() {
+    let topo = dgx1();
+    let (s, e) = c1(&topo);
+    let opts = SimOptions::default();
+    for (i, plan) in inert_plans(&topo, &s, &e, &opts).iter().enumerate() {
+        assert_inert(&topo, &s, &e, &opts, plan, &format!("approx plan {i}"));
+    }
+}
+
+#[test]
+fn inert_plans_reproduce_the_empty_plan_run_on_a_hash_fabric() {
+    // Eight ranks on sixteen nodes leave the upper nodes' NICs idle.
+    let topo = hierarchical(16);
+    let dt = DoubleBinaryTree::new(8).expect("8 ranks");
+    let s = tree_allreduce(
+        dt.trees(),
+        &Chunking::even(ByteSize::mib(16), 8),
+        Overlap::ReductionBroadcast,
+    );
+    let e = Embedding::nic(&topo, &s).expect("embeds");
+    let opts = SimOptions::scale_out().with_network(ccube_sim::NetworkModel::SwitchFabric(
+        ccube_sim::FabricSpec {
+            radix: Some(4),
+            spines: 2,
+            uplinks: 2,
+            uplink_policy: ccube_sim::UplinkPolicy::Hash,
+            ..ccube_sim::FabricSpec::default()
+        },
+    ));
+    for (i, plan) in inert_plans(&topo, &s, &e, &opts).iter().enumerate() {
+        assert_inert(&topo, &s, &e, &opts, plan, &format!("fabric plan {i}"));
+    }
+}

@@ -256,9 +256,8 @@ proptest! {
     }
 
     /// Repeated faulted runs on the recycled arena replay bit-identically
-    /// under sampled fault plans (the `Simulation::reset` half of the
-    /// proptest satellite: the fabric engine drives `Simulation`, and the
-    /// fault engine exercises reroutes + rescales over the shared pool).
+    /// under sampled fault plans (the fault layer exercises reroutes and
+    /// rescales over the recycled pool and kernel).
     #[test]
     fn faulted_replay_is_bit_identical_on_reuse(
         seed in 0u64..512,

@@ -61,6 +61,9 @@ cargo test -q -p ccube-sim --test fabric_faults
 echo "==> fabric-resilience golden stays byte-identical"
 cargo test -q -p ccube --test golden_regression ext_fabric_resilience_csv_matches_golden_byte_for_byte
 
+echo "==> engine-matrix golden: every entry point x network model x fault plan, bit-for-bit"
+cargo test -q -p ccube --test engine_matrix engine_matrix_matches_golden
+
 echo "==> HTML trace viewer: payload goldens + doc-consistency audit"
 cargo test -q -p ccube --test trace_html_golden
 cargo test -q -p ccube --test doc_consistency
@@ -84,5 +87,8 @@ rm -rf target/check-html
 
 echo "==> cargo bench --no-run (benches stay buildable)"
 cargo bench --workspace --no-run
+
+echo "==> perfbench builds against the current public API (it is outside the workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "All checks passed."

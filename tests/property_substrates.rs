@@ -1,9 +1,7 @@
 //! Property tests over the substrates added beyond the core AllReduce
 //! path: collective primitives, multi-ring schedules, torus topologies,
-//! the α/β fitter, and the timeline/pipeline agreement.
+//! and the α/β fitter.
 
-use ccube::pipeline::{Mode, TrainingPipeline};
-use ccube::timeline::TimelineSim;
 use ccube_collectives::cost::{fit_params, CostParams};
 use ccube_collectives::{primitives, ring_allreduce_multi, verify, BinaryTree, Chunking, Rank};
 use ccube_topology::{torus2d, Bandwidth, ByteSize, GpuId, Router, Seconds};
@@ -98,27 +96,6 @@ proptest! {
         prop_assert!(rel_bw < 1e-6, "bw off by {rel_bw}");
         let a_err = (fitted.alpha().as_micros() - alpha_us as f64).abs();
         prop_assert!(a_err < 1e-6, "alpha off by {a_err} us");
-    }
-
-    #[test]
-    fn timeline_steady_state_equals_closed_form(
-        batch in prop::sample::select(vec![16usize, 32, 64, 128]),
-        mode in prop::sample::select(vec![
-            Mode::Baseline,
-            Mode::OverlappedTree,
-            Mode::Chained,
-            Mode::CCube,
-            Mode::Ring,
-        ]),
-    ) {
-        let pipeline = TrainingPipeline::dgx1(&ccube_dnn::zfnet(), batch);
-        let report = TimelineSim::new(&pipeline, mode, 8).run(4);
-        let steady = report.steady_iteration_time().as_secs_f64();
-        let closed = pipeline.iteration(mode).t_iter.as_secs_f64();
-        prop_assert!(
-            (steady - closed).abs() / closed < 0.01,
-            "{mode} b={batch}: {steady} vs {closed}"
-        );
     }
 
     #[test]
