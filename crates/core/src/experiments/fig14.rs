@@ -9,7 +9,7 @@
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap,
 };
-use ccube_sim::{simulate, SimOptions, SimReport};
+use ccube_sim::{simulate, SimOptions};
 use ccube_topology::{hierarchical, ByteSize, Seconds};
 use std::fmt;
 
@@ -47,7 +47,9 @@ impl fmt::Display for Row {
     }
 }
 
-/// Default sweep: P in {4, 8, …, 256}, N in {16 KiB, 1 MiB, 64 MiB}.
+/// Default sweep: P in {4, 8, …, 256}, N in {16 KiB, 1 MiB, 64 MiB},
+/// fanned out over [`ccube_sim::available_threads()`] workers (inside
+/// another sweep's point, the enclosing sweep's worker budget caps that).
 pub fn run() -> Vec<Row> {
     run_net(ccube_sim::NetworkModel::ChannelApprox)
 }
@@ -57,25 +59,44 @@ pub fn run_net(network: ccube_sim::NetworkModel) -> Vec<Row> {
     run_with_threads_net(
         &[4, 8, 16, 32, 64, 128, 256],
         &[ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)],
-        1,
+        ccube_sim::available_threads(),
         network,
     )
 }
 
+/// The three schedules of a grid point, in row order: the ring (`None`),
+/// the overlapped tree C1, and the baseline tree B.
+const SCHEDULES: [Option<Overlap>; 3] =
+    [None, Some(Overlap::ReductionBroadcast), Some(Overlap::None)];
+
+/// Simulates one schedule of grid point `(p, n)` and returns its
+/// makespan and gradient turnaround — all a [`Row`] reads, so the run is
+/// untraced.
 fn sim_on(
     p: usize,
-    schedule: &ccube_collectives::Schedule,
+    n: ByteSize,
+    tree: Option<Overlap>,
     network: ccube_sim::NetworkModel,
-) -> SimReport {
+) -> (Seconds, Seconds) {
+    let schedule = match tree {
+        None => ring_allreduce(p, n),
+        Some(overlap) => {
+            let dt = DoubleBinaryTree::new(p).expect("p >= 2");
+            tree_allreduce(dt.trees(), &Chunking::even(n, chunk_count(n)), overlap)
+        }
+    };
     let topo = hierarchical(p);
-    let emb = Embedding::nic(&topo, schedule).expect("nic embedding");
-    simulate(
+    let emb = Embedding::nic(&topo, &schedule).expect("nic embedding");
+    let report = simulate(
         &topo,
-        schedule,
+        &schedule,
         &emb,
-        &SimOptions::scale_out().with_network(network),
+        &SimOptions::scale_out()
+            .without_trace()
+            .with_network(network),
     )
-    .expect("simulates")
+    .expect("simulates");
+    (report.makespan(), report.turnaround())
 }
 
 /// The paper's scale-out chunk policy: 256 KiB chunks ("256 chunks for
@@ -86,14 +107,15 @@ pub fn chunk_count(n: ByteSize) -> usize {
     k.div_ceil(2).max(1) * 2
 }
 
-/// Runs the sweep for explicit node counts and message sizes (serially).
+/// Runs the sweep for explicit node counts and message sizes on the
+/// calling thread alone ([`run_with_threads`] at one worker).
 pub fn run_with(ps: &[usize], ns: &[ByteSize]) -> Vec<Row> {
     run_with_threads(ps, ns, 1)
 }
 
 /// [`run_with`] fanned out over `threads` workers via
-/// [`ccube_sim::sweep()`]: each `(P, N)` grid point (three simulations) is
-/// one sweep point, reassembled in grid order.
+/// [`ccube_sim::sweep()`]: each `(P, N, schedule)` simulation is one
+/// sweep point, and the rows are rebuilt in grid order.
 pub fn run_with_threads(ps: &[usize], ns: &[ByteSize], threads: usize) -> Vec<Row> {
     run_with_threads_net(ps, ns, threads, ccube_sim::NetworkModel::ChannelApprox)
 }
@@ -107,31 +129,35 @@ pub fn run_with_threads_net(
     threads: usize,
     network: ccube_sim::NetworkModel,
 ) -> Vec<Row> {
-    let points: Vec<(usize, ByteSize)> = ps
+    let grid: Vec<(usize, ByteSize)> = ps
         .iter()
         .flat_map(|&p| ns.iter().map(move |&n| (p, n)))
         .collect();
-    ccube_sim::sweep(&points, threads, |_, &(p, n)| {
-        let dt = DoubleBinaryTree::new(p).expect("p >= 2");
-        let k = chunk_count(n);
-        let chunking = Chunking::even(n, k);
-        let ring = ring_allreduce(p, n);
-        let c1 = tree_allreduce(dt.trees(), &chunking, Overlap::ReductionBroadcast);
-        let b = tree_allreduce(dt.trees(), &chunking, Overlap::None);
-        let ring_report = sim_on(p, &ring, network);
-        let c1_report = sim_on(p, &c1, network);
-        let b_report = sim_on(p, &b, network);
-        Row {
-            p,
-            n,
-            k,
-            t_ring: ring_report.makespan(),
-            t_c1: c1_report.makespan(),
-            t_b: b_report.makespan(),
-            c1_over_ring: ring_report.makespan() / c1_report.makespan(),
-            turnaround_speedup: b_report.turnaround() / c1_report.turnaround(),
-        }
-    })
+    let points: Vec<(usize, ByteSize, Option<Overlap>)> = grid
+        .iter()
+        .flat_map(|&(p, n)| SCHEDULES.map(|tree| (p, n, tree)))
+        .collect();
+    let sims = ccube_sim::sweep(&points, threads, |_, &(p, n, tree)| {
+        sim_on(p, n, tree, network)
+    });
+    grid.iter()
+        .zip(sims.chunks_exact(SCHEDULES.len()))
+        .map(|(&(p, n), sims)| {
+            let [(t_ring, _), (t_c1, c1_turnaround), (t_b, b_turnaround)] = sims else {
+                unreachable!("chunks_exact yields three simulations per grid point")
+            };
+            Row {
+                p,
+                n,
+                k: chunk_count(n),
+                t_ring: *t_ring,
+                t_c1: *t_c1,
+                t_b: *t_b,
+                c1_over_ring: *t_ring / *t_c1,
+                turnaround_speedup: *b_turnaround / *c1_turnaround,
+            }
+        })
+        .collect()
 }
 
 /// Renders rows as CSV.

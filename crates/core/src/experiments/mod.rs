@@ -63,8 +63,10 @@ use std::path::{Path, PathBuf};
 /// figures sweep models internally.
 type Figure = (&'static str, fn(NetworkModel) -> String);
 
-/// The full figure table. Each driver runs serially inside one sweep
-/// point; [`run_all`] parallelizes across the table.
+/// The full figure table. [`run_all`] parallelizes across the table, one
+/// driver per sweep point; the drivers that sweep at
+/// [`ccube_sim::available_threads()`] (Fig. 14, the resilience study)
+/// fan out further on whatever workers the table's sweep has free.
 const FIGURES: &[Figure] = &[
     (
         "fig01_allreduce_ratio.csv",
@@ -107,7 +109,7 @@ const FIGURES: &[Figure] = &[
     ("ext_resilience.csv", |net| {
         resilience::to_csv(&resilience::run_with_network(
             resilience::DEFAULT_SEED,
-            1,
+            ccube_sim::available_threads(),
             net,
         ))
     }),

@@ -28,6 +28,27 @@
 //!   functions may branch on time; the only clock in a sweep is each
 //!   simulation's own virtual clock.
 //!
+//! # Worker budget
+//!
+//! A sweep called from inside another sweep's point shares the workers
+//! of the outermost sweep instead of adding its own:
+//!
+//! * The outermost `sweep(points, t, f)` owns `t` worker slots. Its
+//!   caller works points on one of them, and each of its workers hands
+//!   its slot back once the sweep's cursor is exhausted.
+//! * A nested sweep runs on at most `min(threads, t)` workers. Its
+//!   caller keeps the slot it already holds and works its own points;
+//!   each extra worker is a helper thread that waits for a free slot
+//!   (one frees when an outer worker runs out of points) and leaves
+//!   once the nested cursor is exhausted. So at most `t` points run at
+//!   once across every nesting level.
+//! * An outermost sweep at `threads = 1` spawns no thread at any depth:
+//!   every nested point runs on the calling thread.
+//!
+//! The budget decides only *which thread* computes a point, never what
+//! it computes or where its result lands, so the contract above holds
+//! at every nesting level.
+//!
 //! # Examples
 //!
 //! ```
@@ -40,7 +61,9 @@
 //! ```
 
 use crate::kernel::SimRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The number of workers to use when the caller does not say: the
 /// machine's available parallelism (1 if it cannot be determined).
@@ -56,13 +79,100 @@ fn effective_threads(threads: usize, points: usize) -> usize {
     threads.max(1).min(points.max(1))
 }
 
+/// The worker slots of one outermost sweep, shared by every sweep nested
+/// inside its points.
+struct Budget {
+    /// Slots the outermost sweep owns: its `threads`.
+    slots: usize,
+    /// Slots no worker holds.
+    free: Mutex<usize>,
+    /// Signalled when a slot is freed or a sweep closes its cursor.
+    changed: Condvar,
+}
+
+impl Budget {
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        // Every update of the count is a single step, so the value a
+        // panicked holder left behind is still valid.
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until a slot is free and takes it, or returns `None` once
+    /// `closed` is set.
+    fn acquire<'a>(&'a self, closed: &AtomicBool) -> Option<Slot<'a>> {
+        let mut free = self.lock();
+        loop {
+            if closed.load(Ordering::Relaxed) {
+                return None;
+            }
+            if *free > 0 {
+                *free -= 1;
+                return Some(Slot(self));
+            }
+            free = self
+                .changed
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One worker slot held by a helper; returned on drop, unwinding included.
+struct Slot<'a>(&'a Budget);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        *self.0.lock() += 1;
+        self.0.changed.notify_all();
+    }
+}
+
+/// Closes a sweep's cursor on drop, unwinding included, so helpers still
+/// waiting for a slot leave and the scope can join them.
+struct Close<'a> {
+    closed: &'a AtomicBool,
+    budget: &'a Budget,
+}
+
+impl Drop for Close<'_> {
+    fn drop(&mut self) {
+        // Set under the lock: a helper checks the flag under it before
+        // waiting, so it cannot miss the wake-up.
+        let free = self.budget.lock();
+        self.closed.store(true, Ordering::Relaxed);
+        drop(free);
+        self.budget.changed.notify_all();
+    }
+}
+
+thread_local! {
+    /// The budget of the outermost sweep this thread is working for.
+    static BUDGET: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
+}
+
+/// Restores the thread's previous budget on drop, unwinding included
+/// (a point function may catch a panic that unwound out of a sweep).
+struct Enter(Option<Arc<Budget>>);
+
+impl Drop for Enter {
+    fn drop(&mut self) {
+        BUDGET.set(self.0.take());
+    }
+}
+
+fn enter(budget: Arc<Budget>) -> Enter {
+    Enter(BUDGET.replace(Some(budget)))
+}
+
 /// Evaluates `f` at every point of `points` using up to `threads`
 /// workers and returns the results **in input order**.
 ///
 /// `f` receives the point's index and the point itself. With `threads
 /// <= 1` (or a single point) the sweep runs inline on the calling
 /// thread; the parallel path produces the exact same `Vec` — see the
-/// module docs for the determinism contract.
+/// module docs for the determinism contract. Called from inside another
+/// sweep's point, the sweep shares that sweep's worker budget (module
+/// docs), so `threads` is an upper bound, not a promise.
 ///
 /// # Panics
 ///
@@ -74,39 +184,85 @@ where
     R: Send,
     F: Fn(usize, &C) -> R + Sync,
 {
-    let threads = effective_threads(threads, points.len());
-    if threads == 1 {
+    let enclosing = BUDGET.with_borrow(Option::clone);
+    let outermost = enclosing.is_none();
+    let (budget, workers, _enter) = match enclosing {
+        Some(budget) => {
+            let workers = effective_threads(threads.min(budget.slots), points.len());
+            (budget, workers, None)
+        }
+        None => {
+            // The caller and every helper start holding one slot each;
+            // the rest are free for nested sweeps.
+            let slots = threads.max(1);
+            let workers = effective_threads(slots, points.len());
+            let budget = Arc::new(Budget {
+                slots,
+                free: Mutex::new(slots - workers),
+                changed: Condvar::new(),
+            });
+            let enter = enter(Arc::clone(&budget));
+            (budget, workers, Some(enter))
+        }
+    };
+    if workers == 1 {
         return points.iter().enumerate().map(|(i, c)| f(i, c)).collect();
     }
 
     // Dynamic work-stealing off one atomic cursor: long points do not
     // convoy short ones behind a static partition. Each worker keeps
     // `(index, result)` pairs locally; indices make the merge exact.
+    // The cursor and the flag publish nothing (results travel through
+    // `join`), so `Relaxed` suffices. A claimed index is always computed:
+    // the flag is read before the claim, never after.
     let next = AtomicUsize::new(0);
+    let closed = AtomicBool::new(false);
+    let claim = || {
+        if closed.load(Ordering::Relaxed) {
+            return None;
+        }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        (i < points.len()).then_some(i)
+    };
     let mut collected: Vec<(usize, R)> = Vec::with_capacity(points.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (1..workers)
             .map(|_| {
-                let next = &next;
-                let f = &f;
+                let (budget, closed, claim, f) = (&budget, &closed, &claim, &f);
                 scope.spawn(move || {
+                    let _enter = enter(Arc::clone(budget));
+                    let slot = if outermost {
+                        Some(Slot(budget))
+                    } else {
+                        budget.acquire(closed)
+                    };
                     let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= points.len() {
-                            break;
+                    if let Some(_slot) = slot {
+                        while let Some(i) = claim() {
+                            local.push((i, f(i, &points[i])));
                         }
-                        local.push((i, f(i, &points[i])));
                     }
                     // Each worker thread has its own preparation cache
                     // (results never flow through it — only hit/miss
-                    // counters leave the thread, merged by the
-                    // coordinator so `prep_cache_stats()` reflects the
-                    // whole sweep).
+                    // counters leave the thread, merged by the caller so
+                    // `prep_cache_stats()` reflects the whole sweep).
                     (local, crate::prep::take_stats())
                 })
             })
             .collect();
+        {
+            let _close = Close {
+                closed: &closed,
+                budget: &budget,
+            };
+            // The outermost caller does no point work after its loop, so
+            // its slot goes back for nested helpers while it joins. A
+            // nested caller keeps its slot: it resumes the enclosing point.
+            let _slot = outermost.then(|| Slot(&budget));
+            while let Some(i) = claim() {
+                collected.push((i, f(i, &points[i])));
+            }
+        }
         for handle in handles {
             match handle.join() {
                 Ok((local, stats)) => {

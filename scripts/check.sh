@@ -28,12 +28,18 @@ cargo test -q -p ccube-sim --test fabric_equivalence
 echo "==> preparation-cache equivalence suite (cache on == off, arena reuse)"
 cargo test -q -p ccube-sim --test prep_equivalence
 
-echo "==> ccube figures --no-prep-cache reproduces the cached CSVs"
-rm -rf target/check-prep-cached target/check-prep-cold
+echo "==> sweep executor + golden sweeps in release (thread timing differs by profile)"
+cargo test --release -q -p ccube-sim --test sweep
+cargo test --release -q -p ccube --test sweep_golden
+
+echo "==> ccube figures: --no-prep-cache and --threads 1 reproduce the cached 2-worker CSVs"
+rm -rf target/check-prep-cached target/check-prep-cold target/check-serial
 cargo run -q --release -p ccube --bin ccube -- figures --threads 2 target/check-prep-cached > /dev/null
 cargo run -q --release -p ccube --bin ccube -- figures --threads 2 --no-prep-cache target/check-prep-cold > /dev/null
+cargo run -q --release -p ccube --bin ccube -- figures --threads 1 target/check-serial > /dev/null
 diff -r target/check-prep-cached target/check-prep-cold
-rm -rf target/check-prep-cached target/check-prep-cold
+diff -r target/check-prep-cached target/check-serial
+rm -rf target/check-prep-cached target/check-prep-cold target/check-serial
 
 echo "==> static schedule analyzer (ccube lint)"
 cargo run -q --release -p ccube --bin ccube -- lint all > /dev/null
