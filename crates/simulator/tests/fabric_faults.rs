@@ -6,7 +6,7 @@
 use ccube_collectives::{tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Schedule};
 use ccube_sim::{
     forever, simulate_system, simulate_system_faulted, FabricSpec, FaultEvent, FaultPlan,
-    NetworkModel, SimError, SimOptions, SimRng, SystemJob, TraceRecord, UplinkPolicy,
+    NetworkModel, SimError, SimOptions, SimRng, SimStats, SystemJob, TraceRecord, UplinkPolicy,
 };
 use ccube_topology::{hierarchical, ByteSize, ChannelId, Seconds};
 use proptest::prelude::*;
@@ -414,4 +414,260 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected error: {:?}", e),
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Fault-layer differentials: windows whose effects depend on per-channel
+// and per-transfer bookkeeping staying current as the run moves (stacked
+// degradations, reroutes, overlapping uplink and spine outages). Each
+// run is pinned to the values the engine produced when these cases were
+// written: makespan bits, an FNV-1a digest of the `SimStats` debug
+// rendering, the failover count and the reroute count.
+// ---------------------------------------------------------------------
+
+/// `(makespan bits, SimStats digest, failovers, reroutes_taken)`.
+type Pin = (u64, u64, u64, u64);
+
+fn stats_digest(stats: &SimStats) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in format!("{stats:?}").bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn pin(
+    topo: &ccube_topology::Topology,
+    job: &SystemJob,
+    e: &Embedding,
+    opts: &SimOptions,
+    plan: &FaultPlan,
+) -> Pin {
+    let r = simulate_system_faulted(topo, job, e, opts, plan).expect("faulted run completes");
+    (
+        r.makespan.as_secs_f64().to_bits(),
+        stats_digest(&r.stats),
+        r.stats.failovers,
+        r.stats.reroutes_taken,
+    )
+}
+
+/// Compares `got` with the pinned table; on a mismatch the message holds
+/// the whole table as it stands now.
+fn assert_pins(got: &[(String, Pin)], want: &[(&str, Pin)]) {
+    let table: String = got
+        .iter()
+        .map(|(name, (m, d, f, r))| {
+            format!("    (\"{name}\", ({m:#018x}, {d:#018x}, {f}, {r})),\n")
+        })
+        .collect();
+    assert_eq!(got.len(), want.len(), "pinned cases:\n{table}");
+    for ((name, p), (wname, w)) in got.iter().zip(want) {
+        assert_eq!(name, wname, "pinned cases:\n{table}");
+        assert_eq!(p, w, "{name} drifted; pinned cases now:\n{table}");
+    }
+}
+
+/// Three overlapping `Degraded` windows with different rates on node 0's
+/// injection channel, and two on node 2's ejection channel, all opening
+/// and closing at distinct times: every boundary changes the rate of a
+/// channel that in-flight transfers hold.
+fn stacked_degradations(m: Seconds) -> FaultPlan {
+    let deg = |channel: u32, rate: f64, from: f64, until: Option<f64>| FaultEvent::Degraded {
+        channel: ChannelId(channel),
+        from: m * from,
+        until: until.map_or_else(forever, |u| m * u),
+        rate,
+    };
+    FaultPlan::new(vec![
+        deg(0, 0.5, 0.05, Some(0.5)),
+        deg(0, 0.3, 0.2, Some(0.7)),
+        deg(0, 0.8, 0.35, None),
+        deg(5, 0.6, 0.1, Some(0.4)),
+        deg(5, 0.9, 0.3, Some(0.6)),
+    ])
+    .expect("valid")
+}
+
+#[test]
+fn stacked_degraded_windows_on_one_channel_are_pinned() {
+    const WANT: &[(&str, Pin)] = &[
+        ("approx", (0x3f5ec0046ce9a892, 0x28dd705501d5605d, 0, 0)),
+        ("hash", (0x3f60044db679f69f, 0x2a451c9d2ce67c52, 0, 0)),
+        ("failover", (0x3f60044db679f69f, 0x2a451c9d2ce67c52, 0, 0)),
+    ];
+    let (topo, job, e) = setup();
+    let mut got = Vec::new();
+    for (name, opts) in [
+        ("approx", SimOptions::scale_out()),
+        ("hash", opts_for(2, UplinkPolicy::Hash)),
+        ("failover", opts_for(2, UplinkPolicy::Failover)),
+    ] {
+        let healthy = simulate_system(&topo, &job, &e, &opts).expect("healthy");
+        let plan = stacked_degradations(healthy.makespan);
+        got.push((name.to_string(), pin(&topo, &job, &e, &opts, &plan)));
+    }
+    assert_pins(&got, WANT);
+}
+
+#[test]
+fn link_down_then_uplink_down_on_the_fabric_is_pinned() {
+    const WANT: &[(&str, Pin)] = &[
+        ("failover", (0x3f5fd00d1cc0cf52, 0xb53d8c64ee72f737, 47, 0)),
+        (
+            "least-queued",
+            (0x3f5d103e8c0bcd36, 0x6108b6987e175044, 118, 0),
+        ),
+    ];
+    let (topo, job, e) = setup();
+    let mut got = Vec::new();
+    for policy in [UplinkPolicy::Failover, UplinkPolicy::LeastQueued] {
+        let opts = opts_for(2, policy);
+        let m = simulate_system(&topo, &job, &e, &opts)
+            .expect("healthy")
+            .makespan;
+        // Node 0's injection channel carries leaf 0's spine crossings;
+        // on a spine/leaf fabric every channel is a NIC channel, so its
+        // traffic waits for repair and is then caught by the uplink
+        // outages on its own leaf and on leaf 1.
+        let plan = FaultPlan::new(vec![
+            FaultEvent::LinkDown {
+                channel: ChannelId(0),
+                from: m * 0.1,
+                until: m * 0.4,
+            },
+            FaultEvent::UplinkDown {
+                leaf: 0,
+                uplink: 0,
+                from: m * 0.3,
+                until: m * 0.6,
+            },
+            FaultEvent::UplinkDown {
+                leaf: 1,
+                uplink: 1,
+                from: m * 0.45,
+                until: m * 0.8,
+            },
+        ])
+        .expect("valid");
+        got.push((
+            policy.label().to_string(),
+            pin(&topo, &job, &e, &opts, &plan),
+        ));
+    }
+    assert_pins(&got, WANT);
+}
+
+#[test]
+fn reroutes_then_degradations_on_the_new_paths_are_pinned() {
+    const WANT: &[(&str, Pin)] = &[
+        ("approx", (0x3f596404038f3e43, 0x62b0a3822201f2a3, 0, 25)),
+        ("fabric", (0x3f596404038f3e43, 0x289aed7df66cb0e8, 0, 25)),
+    ];
+    // On the DGX-1 a downed NVLink re-routes its waiting traffic onto
+    // detours; degradation windows opening afterwards on every NVLink
+    // must rescale the transfers on their new paths, not their old ones.
+    let topo = ccube_topology::dgx1();
+    let s = ccube_collectives::ring_allreduce(8, ByteSize::mib(16));
+    let e = Embedding::identity(&topo, &s).expect("identity");
+    let job = compute_less(s);
+    let used: Vec<ChannelId> = {
+        let r = simulate_system(&topo, &job, &e, &SimOptions::default()).expect("healthy");
+        (0..topo.channels().len())
+            .filter(|&c| !r.channel_busy[c].is_zero())
+            .map(|c| ChannelId(c as u32))
+            .collect()
+    };
+    let mut got = Vec::new();
+    for (name, opts) in [
+        ("approx", SimOptions::default()),
+        (
+            "fabric",
+            SimOptions::default().with_network(NetworkModel::SwitchFabric(FabricSpec {
+                uplink_policy: UplinkPolicy::LeastQueued,
+                ..FabricSpec::default()
+            })),
+        ),
+    ] {
+        let m = simulate_system(&topo, &job, &e, &opts)
+            .expect("healthy")
+            .makespan;
+        let mut events = vec![
+            FaultEvent::LinkDown {
+                channel: used[0],
+                from: Seconds::ZERO,
+                until: m * 0.5,
+            },
+            FaultEvent::LinkDown {
+                channel: used[3],
+                from: m * 0.15,
+                until: m * 0.6,
+            },
+        ];
+        for (i, ch) in topo.channels().iter().enumerate() {
+            if ch.class() == ccube_topology::ChannelClass::NvLink {
+                events.push(FaultEvent::Degraded {
+                    channel: ch.id(),
+                    from: m * (0.2 + 0.01 * (i % 7) as f64),
+                    until: m * (0.7 + 0.01 * (i % 5) as f64),
+                    rate: 0.5,
+                });
+            }
+        }
+        let plan = FaultPlan::new(events).expect("valid");
+        got.push((name.to_string(), pin(&topo, &job, &e, &opts, &plan)));
+    }
+    assert_pins(&got, WANT);
+}
+
+#[test]
+fn switch_down_overlapping_uplink_down_is_pinned() {
+    const WANT: &[(&str, Pin)] = &[
+        ("hash", (0x3f63bc53fc811850, 0x8cc5e969874484c6, 0, 0)),
+        (
+            "least-queued",
+            (0x3f62758f827632c3, 0xb80a6f1e582e92ac, 169, 0),
+        ),
+        ("failover", (0x3f63d576cad0b3d1, 0x249d253bece45f47, 123, 0)),
+    ];
+    let (topo, job, e) = setup();
+    let mut got = Vec::new();
+    for policy in [
+        UplinkPolicy::Hash,
+        UplinkPolicy::LeastQueued,
+        UplinkPolicy::Failover,
+    ] {
+        let opts = opts_for(2, policy);
+        let m = simulate_system(&topo, &job, &e, &opts)
+            .expect("healthy")
+            .makespan;
+        // Spine 0 (slot 0 everywhere) overlaps an outage of slot 1 on
+        // leaf 1, which leaves leaf 1 with no slot for a while, and a
+        // second slot-0 outage on leaf 2 that outlives the spine's.
+        let plan = FaultPlan::new(vec![
+            FaultEvent::SwitchDown {
+                spine: 0,
+                from: m * 0.1,
+                until: m * 0.6,
+            },
+            FaultEvent::UplinkDown {
+                leaf: 1,
+                uplink: 1,
+                from: m * 0.3,
+                until: m * 0.8,
+            },
+            FaultEvent::UplinkDown {
+                leaf: 2,
+                uplink: 0,
+                from: Seconds::ZERO,
+                until: m * 0.7,
+            },
+        ])
+        .expect("valid");
+        got.push((
+            policy.label().to_string(),
+            pin(&topo, &job, &e, &opts, &plan),
+        ));
+    }
+    assert_pins(&got, WANT);
 }
