@@ -143,6 +143,25 @@ pub enum NetworkModel {
     SwitchFabric(FabricSpec),
 }
 
+/// The uplink slot of a spine crossing at `(up, down)`: an uplink-up
+/// port followed by the uplink-down port of the same slot, the pair
+/// [`choose_uplinks`] rescores.
+fn crossing_slot(graph: &FabricGraph, up: ChannelId, down: ChannelId) -> Option<usize> {
+    let (up, down) = (graph.port(PortId(up.0)), graph.port(PortId(down.0)));
+    match (up.kind(), down.kind(), up.uplink(), down.uplink()) {
+        (PortKind::UplinkUp, PortKind::UplinkDown, Some(a), Some(b)) if a == b => Some(a as usize),
+        _ => None,
+    }
+}
+
+/// Whether a port path (as pool resource indices) holds a spine
+/// crossing; [`choose_uplinks`] returns `None` for every path that does
+/// not.
+pub(crate) fn has_crossing(graph: &FabricGraph, path: &[ChannelId]) -> bool {
+    path.windows(2)
+        .any(|w| crossing_slot(graph, w[0], w[1]).is_some())
+}
+
 /// Revises the uplink slots of an expanded port path (given as pool
 /// resource indices) under `policy`, from the pool's live down/free/
 /// queue-depth state. Each adjacent `(uplink-up, uplink-down)` pair is
@@ -166,15 +185,12 @@ pub(crate) fn choose_uplinks(
     let mut moved_to: Option<ChannelId> = None;
     let mut i = 0;
     while i + 1 < path.len() {
+        let Some(cur) = crossing_slot(graph, path[i], path[i + 1]) else {
+            i += 1;
+            continue;
+        };
         let up = graph.port(PortId(path[i].0));
         let down = graph.port(PortId(path[i + 1].0));
-        let cur = match (up.kind(), down.kind(), up.uplink(), down.uplink()) {
-            (PortKind::UplinkUp, PortKind::UplinkDown, Some(a), Some(b)) if a == b => a as usize,
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
         let ups = graph.uplinks_up(up.switch());
         let downs = graph.uplinks_down(down.switch());
         let k = ups.len().min(downs.len());

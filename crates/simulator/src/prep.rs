@@ -83,6 +83,9 @@ impl PrepCacheStats {
     }
 }
 
+/// Each transfer's port path over one fabric, shared.
+type PortRoutes = Rc<Vec<Vec<PortId>>>;
+
 /// The cached preparation artifact for one `(topology, schedule
 /// structure, embedding)` key: the resolved lowering, the most recent
 /// payload/timing rescale, and the port-path expansion per fabric.
@@ -97,7 +100,7 @@ struct SimPrepared {
     /// figure evaluations) share the specs with zero re-lowering.
     specs: Option<(u128, Rc<Vec<TransferSpec>>)>,
     /// Most recent `(fabric fingerprint, port-path expansion)`.
-    ports: Option<(u128, Rc<Vec<Vec<PortId>>>)>,
+    ports: Option<(u128, PortRoutes)>,
 }
 
 #[derive(Default)]
@@ -391,11 +394,7 @@ fn run_gate(topo: &Topology, schedule: &Schedule, embedding: &Embedding) {
 
 /// The port-path expansion of `prep`'s specs over `graph`, cached per
 /// fabric spec when the cache holds `prep`'s entry.
-pub(crate) fn ports_for(
-    prep: &Prep,
-    spec: &FabricSpec,
-    graph: &FabricGraph,
-) -> Rc<Vec<Vec<PortId>>> {
+pub(crate) fn ports_for(prep: &Prep, spec: &FabricSpec, graph: &FabricGraph) -> PortRoutes {
     let Some(key) = prep.key else {
         return Rc::new(ccube_collectives::lower_to_ports(&prep.specs, graph));
     };
@@ -413,6 +412,40 @@ pub(crate) fn ports_for(
         let ports = Rc::new(ccube_collectives::lower_to_ports(&prep.specs, graph));
         entry.ports = Some((fabric_fp, Rc::clone(&ports)));
         ports
+    })
+}
+
+/// The lowered specs of `(topo, schedule, embedding)` at `timing`, and
+/// their port paths over `fabric` when that expansion is cached too,
+/// read from an existing cache entry. `None` when the cache is off or
+/// holds no entry for this structure. Unlike [`gate_and_lower`] this
+/// never inserts, never runs the structural gate and counts neither a
+/// hit nor a miss; a point whose payload differs from the entry's most
+/// recent one is rescaled without being stored.
+pub(crate) fn peek(
+    topo: &Topology,
+    schedule: &Schedule,
+    embedding: &Embedding,
+    timing: &LinkTiming,
+    fabric: Option<&FabricSpec>,
+) -> Option<(Rc<Vec<TransferSpec>>, Option<PortRoutes>)> {
+    if !prep_cache_enabled() {
+        return None;
+    }
+    let key = structural_key(topo, schedule, embedding);
+    CACHE.with(|c| {
+        let c = c.borrow();
+        let entry = c.map.get(&key)?;
+        let point_fp = fp_payload_timing(schedule, timing);
+        let specs = match &entry.specs {
+            Some((fp, specs)) if *fp == point_fp => Rc::clone(specs),
+            _ => Rc::new(entry.lowering.lower(schedule, timing)),
+        };
+        let ports = fabric.and_then(|spec| match &entry.ports {
+            Some((fp, ports)) if *fp == fp_fabric(spec) => Some(Rc::clone(ports)),
+            _ => None,
+        });
+        Some((specs, ports))
     })
 }
 

@@ -49,6 +49,13 @@ cargo run -q --release -p ccube --bin ccube -- lint --physical all --json > /dev
 cargo test -q -p ccube --test lint_golden
 cargo test -q -p ccube --test property_physical
 
+echo "==> fault-plan severance golden (uplink and spine windows on the spine/leaf fabric)"
+cargo test -q -p ccube --test severance_golden
+
+echo "==> physical-layer and fault suites in release (the profile perfbench measures)"
+cargo test --release -q -p ccube --test property_physical
+cargo test --release -q -p ccube-sim --test fabric_faults --test faults
+
 echo "==> policy search with certified-bound pruning (ccube search --bounds)"
 cargo run -q --release -p ccube --bin ccube -- search --bounds > /dev/null
 
