@@ -75,7 +75,7 @@ pub use physical::{
     PhysicalAnalyzeOptions,
 };
 pub use rank::Rank;
-pub use ring::{ring_allreduce, ring_allreduce_multi};
+pub use ring::{bidirectional_ring_orders, ring_allreduce, ring_allreduce_multi};
 pub use schedule::{Phase, Schedule, ScheduleStats, Transfer, TransferId, TreeIndex};
 pub use tree::{BinaryTree, DoubleBinaryTree, TreeError};
 pub use tree_schedule::{tree_allreduce, Overlap};

@@ -8,12 +8,12 @@
 //!   Hamiltonian cycle of the physical topology, found with
 //!   [`disjoint_rings`](ccube_topology::disjoint_rings), used in both
 //!   directions), which is how NCCL reaches the DGX-1's aggregate NVLink
-//!   bandwidth.
+//!   bandwidth. [`bidirectional_ring_orders`] builds those ring orders.
 
 use crate::chunk::{ChunkId, Chunking};
 use crate::rank::Rank;
 use crate::schedule::{Phase, Schedule, ScheduleBuilder, TransferId, TreeIndex};
-use ccube_topology::ByteSize;
+use ccube_topology::{disjoint_rings, ByteSize, Topology};
 
 /// Emits one ring's Reduce-Scatter + AllGather transfers.
 ///
@@ -178,10 +178,44 @@ pub fn ring_allreduce_multi(total: ByteSize, orders: &[Vec<Rank>]) -> Schedule {
     b.finish(name, p, chunking)
 }
 
+/// The NCCL-style ring orders for `topo`, ready for
+/// [`ring_allreduce_multi`]: every edge-disjoint Hamiltonian cycle
+/// [`disjoint_rings`] finds (at most `max_cycles`), each forward and then
+/// reversed, with GPU `i` as rank `i`.
+///
+/// # Examples
+///
+/// ```
+/// use ccube_collectives::{bidirectional_ring_orders, ring_allreduce_multi, verify};
+/// use ccube_topology::{dgx1, ByteSize};
+///
+/// let orders = bidirectional_ring_orders(&dgx1(), 3);
+/// let s = ring_allreduce_multi(ByteSize::mib(8), &orders);
+/// verify::check_allreduce(&s).unwrap();
+/// ```
+pub fn bidirectional_ring_orders(topo: &Topology, max_cycles: usize) -> Vec<Vec<Rank>> {
+    disjoint_rings(topo, max_cycles)
+        .into_iter()
+        .flat_map(|cycle| {
+            let fwd: Vec<Rank> = cycle.iter().map(|g| Rank(g.0)).collect();
+            let mut rev = fwd.clone();
+            rev.reverse();
+            [fwd, rev]
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::check_allreduce;
+
+    #[test]
+    fn dgx1_yields_six_ring_orders() {
+        let topo = ccube_topology::dgx1();
+        let orders = bidirectional_ring_orders(&topo, 3);
+        assert_eq!(orders.len(), 6);
+    }
 
     #[test]
     fn transfer_count_is_2_p_minus_1_times_p() {

@@ -173,7 +173,20 @@ fn cmd_scaleout(args: &[String], threads: usize) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let max_p: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(128);
+    let max_p = args
+        .first()
+        .map_or(Some(128), |s| s.parse().ok().filter(|&p| p >= 4));
+    let Some(max_p) = max_p else {
+        eprintln!(
+            "scaleout: max_p {:?} is not a node count of at least 4",
+            args[0]
+        );
+        return ExitCode::from(2);
+    };
+    if let Some(bad) = args.iter().skip(1).find(|s| s.parse::<u64>().is_err()) {
+        eprintln!("scaleout: size {bad:?} is not a whole number of MiB");
+        return ExitCode::from(2);
+    }
     let sizes: Vec<ByteSize> = {
         let explicit: Vec<u64> = args.iter().skip(1).filter_map(|s| s.parse().ok()).collect();
         if explicit.is_empty() {

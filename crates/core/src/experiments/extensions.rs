@@ -25,11 +25,11 @@
 
 use ccube_collectives::cost::{k_opt, CostParams};
 use ccube_collectives::{
-    ring_allreduce_multi, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Rank,
-    Schedule,
+    bidirectional_ring_orders, ring_allreduce_multi, tree_allreduce, Chunking, DoubleBinaryTree,
+    Embedding, Overlap, Rank, Schedule,
 };
 use ccube_sim::{simulate, SimOptions, SimReport};
-use ccube_topology::{dgx1, disjoint_rings, nvswitch, ByteSize, Seconds, Topology};
+use ccube_topology::{dgx1, nvswitch, ByteSize, Seconds, Topology};
 use std::fmt;
 
 /// A row of the alternative-topology study.
@@ -85,12 +85,6 @@ fn sim_switch(schedule: &Schedule, topo: &Topology) -> (SimReport, usize) {
 /// Compares B / C1 / R on the DGX-1 hybrid mesh-cube against an
 /// NVSwitch-class crossbar, 64 MiB message.
 pub fn topology_study() -> Vec<TopologyRow> {
-    topology_study_threads(1)
-}
-
-/// [`topology_study`] fanned out over `threads` workers: each
-/// `(topology, algorithm)` cell is one sweep point.
-pub fn topology_study_threads(threads: usize) -> Vec<TopologyRow> {
     let n = ByteSize::mib(64);
     let params = CostParams::nvlink();
     let k = k_opt(&params, 8, n).div_ceil(2) * 2;
@@ -100,15 +94,7 @@ pub fn topology_study_threads(threads: usize) -> Vec<TopologyRow> {
     let c1 = tree_allreduce(dt.trees(), &chunking, Overlap::ReductionBroadcast);
 
     let mesh = dgx1();
-    let ring_orders: Vec<Vec<Rank>> = disjoint_rings(&mesh, 3)
-        .into_iter()
-        .flat_map(|cycle| {
-            let fwd: Vec<Rank> = cycle.iter().map(|g| Rank(g.0)).collect();
-            let mut rev = fwd.clone();
-            rev.reverse();
-            [fwd, rev]
-        })
-        .collect();
+    let ring_orders = bidirectional_ring_orders(&mesh, 3);
     let r_mesh = ring_allreduce_multi(n, &ring_orders);
     // On the crossbar all rings share the one NIC, so a single ring order
     // suffices (more rings would just contend).
@@ -124,7 +110,7 @@ pub fn topology_study_threads(threads: usize) -> Vec<TopologyRow> {
         ("nvswitch", "C1", &c1),
         ("nvswitch", "R", &r_switch),
     ];
-    ccube_sim::sweep(&points, threads, |_, &(topology, alg, schedule)| {
+    ccube_sim::sweep(&points, 1, |_, &(topology, alg, schedule)| {
         let (report, detours) = if topology == "dgx1" {
             sim_dgx1(schedule, &mesh, alg != "R")
         } else {
@@ -185,17 +171,11 @@ impl fmt::Display for DetourRow {
 /// Quantifies the detour routes' advantage over the PCIe host bridge for
 /// the overlapped double tree.
 pub fn detour_vs_host() -> Vec<DetourRow> {
-    detour_vs_host_threads(1)
-}
-
-/// [`detour_vs_host`] fanned out over `threads` workers: each message
-/// size (two embeddings, two simulations) is one sweep point.
-pub fn detour_vs_host_threads(threads: usize) -> Vec<DetourRow> {
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
     let params = CostParams::nvlink();
     let sizes = [ByteSize::mib(16), ByteSize::mib(64)];
-    ccube_sim::sweep(&sizes, threads, |_, &n| {
+    ccube_sim::sweep(&sizes, 1, |_, &n| {
         let k = k_opt(&params, 8, n).div_ceil(2) * 2;
         let s = tree_allreduce(
             dt.trees(),
@@ -273,12 +253,6 @@ impl fmt::Display for ChunkRow {
 /// Sweeps the chunk count for a 64 MiB overlapped double tree on the
 /// DGX-1 and marks Eq. 4's optimum.
 pub fn chunk_sensitivity() -> Vec<ChunkRow> {
-    chunk_sensitivity_threads(1)
-}
-
-/// [`chunk_sensitivity`] fanned out over `threads` workers: each chunk
-/// count is one sweep point.
-pub fn chunk_sensitivity_threads(threads: usize) -> Vec<ChunkRow> {
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
     let n = ByteSize::mib(64);
@@ -286,7 +260,7 @@ pub fn chunk_sensitivity_threads(threads: usize) -> Vec<ChunkRow> {
     let mut ks = vec![2usize, 8, 24, kopt / 2, kopt, kopt * 2, kopt * 8];
     ks.sort_unstable();
     ks.dedup();
-    ccube_sim::sweep(&ks, threads, |_, &k| {
+    ccube_sim::sweep(&ks, 1, |_, &k| {
         let s = tree_allreduce(
             dt.trees(),
             &Chunking::even(n, k),
@@ -356,12 +330,6 @@ impl fmt::Display for StrategyRow {
 /// reaches the same hiding through one-shot, in-order communication
 /// without relying on those mechanisms.
 pub fn overlap_strategy_study() -> Vec<StrategyRow> {
-    overlap_strategy_study_threads(1)
-}
-
-/// [`overlap_strategy_study`] fanned out over `threads` workers: each
-/// `(network, config)` cell is one sweep point.
-pub fn overlap_strategy_study_threads(threads: usize) -> Vec<StrategyRow> {
     use crate::pipeline::{Mode, TrainingPipeline};
     use ccube_dnn::ComputeModel;
 
@@ -378,7 +346,7 @@ pub fn overlap_strategy_study_threads(threads: usize) -> Vec<StrategyRow> {
                 .map(move |(config, batch, scale)| (ni, config, batch, scale))
         })
         .collect();
-    ccube_sim::sweep(&points, threads, |_, &(ni, config, batch, scale)| {
+    ccube_sim::sweep(&points, 1, |_, &(ni, config, batch, scale)| {
         let (name, net) = &nets[ni];
         let pipeline = TrainingPipeline::dgx1_with(net, batch, &compute, scale);
         let b = pipeline.iteration(Mode::Baseline).normalized_perf;

@@ -45,7 +45,9 @@ pub fn run() -> Vec<Row> {
     run_net(ccube_sim::NetworkModel::ChannelApprox)
 }
 
-/// [`run`] under an explicit network model.
+/// [`run`] under an explicit network model (`ccube figures --fabric
+/// switch` reruns the DES-backed figures on the componentized switch
+/// fabric; a passthrough fabric reproduces the defaults).
 pub fn run_net(network: ccube_sim::NetworkModel) -> Vec<Row> {
     let ns = [
         ByteSize::mib(4),
@@ -54,38 +56,26 @@ pub fn run_net(network: ccube_sim::NetworkModel) -> Vec<Row> {
         ByteSize::mib(128),
         ByteSize::mib(256),
     ];
-    run_with_threads_net(&ns, 1, network)
+    grid(&ns, network)
 }
 
-/// Runs the comparison for explicit message sizes (serially).
+/// Runs the comparison for explicit message sizes.
 ///
 /// # Panics
 ///
 /// Panics if the DGX-1 embedding or simulation fails — both are
 /// deterministic and covered by tests.
 pub fn run_with(ns: &[ByteSize]) -> Vec<Row> {
-    run_with_threads(ns, 1)
+    grid(ns, ccube_sim::NetworkModel::ChannelApprox)
 }
 
-/// [`run_with`] fanned out over `threads` workers via
-/// [`ccube_sim::sweep()`]: each message size is one independent sweep
-/// point, and the result is bit-identical to the serial run.
-pub fn run_with_threads(ns: &[ByteSize], threads: usize) -> Vec<Row> {
-    run_with_threads_net(ns, threads, ccube_sim::NetworkModel::ChannelApprox)
-}
-
-/// [`run_with_threads`] under an explicit network model (`ccube figures
-/// --fabric switch` reruns the DES-backed figures on the componentized
-/// switch fabric; a passthrough fabric reproduces the defaults).
-pub fn run_with_threads_net(
-    ns: &[ByteSize],
-    threads: usize,
-    network: ccube_sim::NetworkModel,
-) -> Vec<Row> {
+/// One row per message size in `ns`, each size one point of a
+/// one-worker [`ccube_sim::sweep()`].
+fn grid(ns: &[ByteSize], network: ccube_sim::NetworkModel) -> Vec<Row> {
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
     let params = cost::CostParams::nvlink();
-    ccube_sim::sweep(ns, threads, |_, &n| {
+    ccube_sim::sweep(ns, 1, |_, &n| {
         let k = k_opt(&params, 8, n).div_ceil(2).max(1) * 2;
         let chunking = Chunking::even(n, k);
         let run_one = |overlap| {

@@ -39,14 +39,6 @@ pub fn run() -> Vec<Row> {
 
 /// Runs the grid for explicit batch sizes (serially).
 pub fn run_with(batches: &[usize]) -> Vec<Row> {
-    run_with_threads(batches, 1)
-}
-
-/// [`run_with`] fanned out over `threads` workers via
-/// [`ccube_sim::sweep()`]: each `(network, batch, bandwidth)` cell is one
-/// sweep point; flattening the index-ordered results reproduces the
-/// serial row order exactly.
-pub fn run_with_threads(batches: &[usize], threads: usize) -> Vec<Row> {
     let compute = ComputeModel::v100();
     let nets: [(&'static str, NetworkModel); 3] = [
         ("zfnet", zfnet()),
@@ -62,7 +54,7 @@ pub fn run_with_threads(batches: &[usize], threads: usize) -> Vec<Row> {
             })
         })
         .collect();
-    ccube_sim::sweep(&points, threads, |_, &(ni, batch, bw_name, scale)| {
+    ccube_sim::sweep(&points, 1, |_, &(ni, batch, bw_name, scale)| {
         let (name, net) = &nets[ni];
         let pipeline = TrainingPipeline::dgx1_with(net, batch, &compute, scale);
         pipeline
@@ -89,32 +81,18 @@ pub fn run_with_threads(batches: &[usize], threads: usize) -> Vec<Row> {
 /// from a simulated NCCL-style 6-ring run over the machine's Hamiltonian
 /// decomposition. Cross-validated against [`run_with`] in tests.
 pub fn run_simulated(batches: &[usize]) -> Vec<Row> {
-    run_simulated_threads(batches, 1)
-}
-
-/// [`run_simulated`] fanned out over `threads` workers: each
-/// `(network, bandwidth)` pair — the unit that owns one set of
-/// discrete-event simulations — is one sweep point.
-pub fn run_simulated_threads(batches: &[usize], threads: usize) -> Vec<Row> {
     use crate::arrivals::ChunkArrivals;
     use ccube_collectives::{
-        ring_allreduce_multi, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Rank,
+        bidirectional_ring_orders, ring_allreduce_multi, tree_allreduce, Chunking,
+        DoubleBinaryTree, Embedding, Overlap,
     };
     use ccube_sim::{simulate, SimOptions};
-    use ccube_topology::{dgx1, disjoint_rings};
+    use ccube_topology::dgx1;
 
     let compute = ComputeModel::v100();
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
-    let ring_orders: Vec<Vec<Rank>> = disjoint_rings(&topo, 3)
-        .into_iter()
-        .flat_map(|cycle| {
-            let fwd: Vec<Rank> = cycle.iter().map(|g| Rank(g.0)).collect();
-            let mut rev = fwd.clone();
-            rev.reverse();
-            [fwd, rev]
-        })
-        .collect();
+    let ring_orders = bidirectional_ring_orders(&topo, 3);
 
     let nets: [(&'static str, NetworkModel); 3] = [
         ("zfnet", zfnet()),
@@ -128,7 +106,7 @@ pub fn run_simulated_threads(batches: &[usize], threads: usize) -> Vec<Row> {
                 .map(move |(bw_name, scale)| (ni, bw_name, scale))
         })
         .collect();
-    ccube_sim::sweep(&points, threads, |_, &(ni, bw_name, scale)| {
+    ccube_sim::sweep(&points, 1, |_, &(ni, bw_name, scale)| {
         let (name, net) = &nets[ni];
         let n = net.total_param_bytes();
         // One reference pipeline per (net, bw) to fix the chunking.

@@ -108,21 +108,18 @@ pub fn chunk_count(n: ByteSize) -> usize {
 }
 
 /// Runs the sweep for explicit node counts and message sizes on the
-/// calling thread alone ([`run_with_threads`] at one worker).
+/// calling thread alone ([`run_with_threads_net`] at one worker under
+/// the channel approximation).
 pub fn run_with(ps: &[usize], ns: &[ByteSize]) -> Vec<Row> {
-    run_with_threads(ps, ns, 1)
+    run_with_threads_net(ps, ns, 1, ccube_sim::NetworkModel::ChannelApprox)
 }
 
-/// [`run_with`] fanned out over `threads` workers via
-/// [`ccube_sim::sweep()`]: each `(P, N, schedule)` simulation is one
-/// sweep point, and the rows are rebuilt in grid order.
-pub fn run_with_threads(ps: &[usize], ns: &[ByteSize], threads: usize) -> Vec<Row> {
-    run_with_threads_net(ps, ns, threads, ccube_sim::NetworkModel::ChannelApprox)
-}
-
-/// [`run_with_threads`] under an explicit network model (`ccube
-/// scaleout --fabric switch` runs the sweep on the componentized switch
-/// fabric; a passthrough fabric reproduces the defaults).
+/// The sweep for explicit node counts and message sizes, fanned out over
+/// `threads` workers via [`ccube_sim::sweep()`] under an explicit network
+/// model (`ccube scaleout --fabric switch` runs it on the componentized
+/// switch fabric; a passthrough fabric reproduces the defaults). Each
+/// `(P, N, schedule)` simulation is one sweep point, and the rows are
+/// rebuilt in grid order.
 pub fn run_with_threads_net(
     ps: &[usize],
     ns: &[ByteSize],

@@ -135,24 +135,20 @@ const FIGURES: &[Figure] = &[
 ///
 /// Returns any I/O error from creating the directory or writing files.
 pub fn run_all(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    run_all_with(dir, ccube_sim::available_threads())
+    run_all_with_network(
+        dir,
+        ccube_sim::available_threads(),
+        NetworkModel::ChannelApprox,
+    )
 }
 
-/// [`run_all`] on an explicit worker count: the figure drivers are the
-/// sweep points, so the CSVs come out bit-identical at any `threads`.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing files.
-pub fn run_all_with(dir: &Path, threads: usize) -> std::io::Result<Vec<PathBuf>> {
-    run_all_with_network(dir, threads, NetworkModel::ChannelApprox)
-}
-
-/// [`run_all_with`] under an explicit network model: the DES-backed
-/// figures (12/14/15 and the resilience study) rerun on that model
-/// (`ccube figures --fabric switch`), while the cost-model figures and
-/// the fabric comparison studies are unaffected. A passthrough switch
-/// fabric reproduces the default CSVs byte-for-byte.
+/// [`run_all`] on an explicit worker count and network model. The figure
+/// drivers are the sweep points, so the CSVs come out bit-identical at
+/// any `threads`. The DES-backed figures (12/14/15 and the resilience
+/// study) rerun on `network` (`ccube figures --fabric switch`), while
+/// the cost-model figures and the fabric comparison studies are
+/// unaffected. A passthrough switch fabric reproduces the default CSVs
+/// byte-for-byte.
 ///
 /// # Errors
 ///

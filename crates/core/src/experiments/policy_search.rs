@@ -178,16 +178,11 @@ pub struct SearchOutcome {
     pub pruned: Vec<PrunedCandidate>,
 }
 
-/// Runs the search serially (64 MiB message).
-pub fn run() -> Vec<SearchRow> {
-    run_with_threads(1)
-}
-
 /// Runs the full search grid — topology × tree shape × arbitration ×
-/// chunk count — on `threads` sweep workers and marks the best schedule
-/// per topology. Deterministic at any worker count.
-pub fn run_with_threads(threads: usize) -> Vec<SearchRow> {
-    run_full(threads).rows
+/// chunk count — serially (64 MiB message) and marks the best schedule
+/// per topology: the rows of [`run_full`] at one worker.
+pub fn run() -> Vec<SearchRow> {
+    run_full(1).rows
 }
 
 /// The machines the search covers.
@@ -284,10 +279,11 @@ fn mark_winners(rows: &mut [SearchRow], machines: &[(&'static str, usize, Topolo
     }
 }
 
-/// [`run_with_threads`] plus the static pre-simulation gate's log: the
-/// grid is extended with the naive-placement candidate class, every
-/// candidate is linted first, and candidates with error-severity
-/// diagnostics are pruned (never simulated) and reported.
+/// Runs the search on `threads` sweep workers and returns its rows plus
+/// the static pre-simulation gate's log: the grid is extended with the
+/// naive-placement candidate class, every candidate is linted first, and
+/// candidates with error-severity diagnostics are pruned (never
+/// simulated) and reported. Deterministic at any worker count.
 pub fn run_full(threads: usize) -> SearchOutcome {
     let n = ByteSize::mib(64);
     let machines = machines();
@@ -505,9 +501,9 @@ mod tests {
 
     #[test]
     fn search_is_deterministic_across_worker_counts() {
-        let serial = run_with_threads(1);
+        let serial = run_full(1).rows;
         for threads in [2, 8] {
-            assert_eq!(run_with_threads(threads), serial);
+            assert_eq!(run_full(threads).rows, serial);
         }
     }
 
@@ -524,7 +520,7 @@ mod tests {
             assert!(p.errors > 0);
         }
         // The surviving rows are exactly the original grid.
-        assert_eq!(outcome.rows, run_with_threads(1));
+        assert_eq!(outcome.rows, run());
     }
 
     #[test]
@@ -546,6 +542,13 @@ mod tests {
             bounded.simulated + bounded.skipped.len(),
             bounded.candidates
         );
+        // The recorded counts (`ccube search --bounds`): the static gate
+        // prunes 10 of 50, and the bound skips 14 of the 40 survivors,
+        // so 26 DES runs remain.
+        assert_eq!(bounded.pruned.len(), 10);
+        assert_eq!(bounded.candidates, 40);
+        assert_eq!(bounded.simulated, 26);
+        assert_eq!(bounded.skipped.len(), 14);
         // Every simulated row is byte-identical to run_full's row for
         // the same candidate — best flags included.
         let full_csv = to_csv(&full.rows);

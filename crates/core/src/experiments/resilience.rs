@@ -164,32 +164,24 @@ fn grid() -> Vec<Point> {
     points
 }
 
-/// Runs the full grid serially with the default seed.
+/// Runs the full grid serially with the default seed under the channel
+/// approximation.
 pub fn run() -> Vec<Row> {
-    run_with(DEFAULT_SEED, 1)
+    run_with_network(DEFAULT_SEED, 1, NetworkModel::ChannelApprox)
 }
 
-/// Runs the grid from `seed` fanned out over `threads` workers. Each
-/// grid point is one [`ccube_sim::sweep_seeded`] point: its fault plan
-/// is sampled from the point's forked RNG stream, so the rows are
-/// byte-identical at any worker count and under replay of the seed.
-pub fn run_with(seed: u64, threads: usize) -> Vec<Row> {
-    run_with_network(seed, threads, NetworkModel::ChannelApprox)
-}
-
-/// [`run_with`] under an explicit network model (`ccube faults --fabric
-/// switch` runs the grid on the componentized switch fabric).
+/// Runs the grid from `seed` fanned out over `threads` workers under
+/// `network` (`ccube faults --fabric switch` runs the grid on the
+/// componentized switch fabric). Each grid point is one
+/// [`ccube_sim::sweep_seeded`] point: its fault plan is sampled from the
+/// point's forked RNG stream, so the rows are byte-identical at any
+/// worker count and under replay of the seed.
 pub fn run_with_network(seed: u64, threads: usize, network: NetworkModel) -> Vec<Row> {
     run_grid(&grid(), seed, threads, network)
 }
 
 /// The smallest faulty slice of the grid — severity 1 on both fabrics'
-/// C1 — for CI smoke runs (`ccube faults --smoke`).
-pub fn run_smoke() -> Vec<Row> {
-    run_smoke_network(NetworkModel::ChannelApprox)
-}
-
-/// [`run_smoke`] under an explicit network model.
+/// C1 — under `network`, for CI smoke runs (`ccube faults --smoke`).
 pub fn run_smoke_network(network: NetworkModel) -> Vec<Row> {
     let points: Vec<Point> = grid()
         .into_iter()
@@ -545,7 +537,7 @@ mod tests {
 
     #[test]
     fn smoke_slice_is_small_and_faulty() {
-        let rows = run_smoke();
+        let rows = run_smoke_network(NetworkModel::ChannelApprox);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.severity == 1 && r.mode == "C1"));
     }
@@ -590,10 +582,11 @@ mod tests {
 
     #[test]
     fn replaying_the_seed_reproduces_the_rows() {
-        let a = run_with(DEFAULT_SEED, 1);
-        let b = run_with(DEFAULT_SEED, 1);
+        let replay = |seed| run_with_network(seed, 1, NetworkModel::ChannelApprox);
+        let a = replay(DEFAULT_SEED);
+        let b = replay(DEFAULT_SEED);
         assert_eq!(a, b);
-        let other = run_with(DEFAULT_SEED + 1, 1);
+        let other = replay(DEFAULT_SEED + 1);
         assert_ne!(a, other, "a different seed should sample different plans");
     }
 }

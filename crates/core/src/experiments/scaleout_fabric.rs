@@ -158,13 +158,8 @@ fn uplink_busy(report: &SimReport, num_channels: usize) -> Seconds {
         .fold(Seconds::ZERO, |acc, &b| acc + b)
 }
 
-/// Runs the fabric model comparison serially.
+/// Runs the fabric model comparison.
 pub fn fabric_study() -> Vec<FabricRow> {
-    fabric_study_with_threads(1)
-}
-
-/// [`fabric_study`] fanned out over `threads` sweep workers.
-pub fn fabric_study_with_threads(threads: usize) -> Vec<FabricRow> {
     let mut points = Vec::new();
     for topology in ["hier16", "nvswitch16", "torus4x4"] {
         for (model_name, model) in models() {
@@ -175,7 +170,7 @@ pub fn fabric_study_with_threads(threads: usize) -> Vec<FabricRow> {
     }
     ccube_sim::sweep(
         &points,
-        threads,
+        1,
         |_, &(topology, model_name, model, algorithm)| {
             let (report, num_channels) = run_point(topology, model, algorithm);
             FabricRow {
@@ -317,11 +312,6 @@ fn torus_dual_ring(rows: usize, cols: usize, n: ByteSize) -> Schedule {
 /// under the approximation, the passthrough fabric, and a split fabric
 /// with eight endpoints per leaf and 2:1 oversubscribed uplinks.
 pub fn nvswitch_sweep() -> Vec<SweepRow> {
-    nvswitch_sweep_with_threads(1)
-}
-
-/// [`nvswitch_sweep`] fanned out over `threads` sweep workers.
-pub fn nvswitch_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
     let models: [(&'static str, NetworkModel); 3] = [
         ("approx", NetworkModel::ChannelApprox),
         (
@@ -345,7 +335,7 @@ pub fn nvswitch_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
             }
         }
     }
-    ccube_sim::sweep(&points, threads, |_, &(p, n, model_name, model)| {
+    ccube_sim::sweep(&points, 1, |_, &(p, n, model_name, model)| {
         let topo = nvswitch(p);
         sweep_cells(
             &format!("nvswitch{p}"),
@@ -366,11 +356,6 @@ pub fn nvswitch_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
 /// 64 MiB}, under both models. The torus derives a switchless fabric,
 /// so the two models must agree — the CSV records that end-to-end.
 pub fn torus_sweep() -> Vec<SweepRow> {
-    torus_sweep_with_threads(1)
-}
-
-/// [`torus_sweep`] fanned out over `threads` sweep workers.
-pub fn torus_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
     let models: [(&'static str, NetworkModel); 2] = [
         ("approx", NetworkModel::ChannelApprox),
         (
@@ -386,22 +371,18 @@ pub fn torus_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
             }
         }
     }
-    ccube_sim::sweep(
-        &points,
-        threads,
-        |_, &(rows, cols, n, model_name, model)| {
-            let topo = torus2d(rows, cols);
-            sweep_cells(
-                &format!("torus{rows}x{cols}"),
-                &topo,
-                rows * cols,
-                n,
-                (model_name, model),
-                false,
-                ("R2", torus_dual_ring(rows, cols, n)),
-            )
-        },
-    )
+    ccube_sim::sweep(&points, 1, |_, &(rows, cols, n, model_name, model)| {
+        let topo = torus2d(rows, cols);
+        sweep_cells(
+            &format!("torus{rows}x{cols}"),
+            &topo,
+            rows * cols,
+            n,
+            (model_name, model),
+            false,
+            ("R2", torus_dual_ring(rows, cols, n)),
+        )
+    })
     .into_iter()
     .flatten()
     .collect()

@@ -32,6 +32,9 @@ echo "==> sweep executor + golden sweeps in release (thread timing differs by pr
 cargo test --release -q -p ccube-sim --test sweep
 cargo test --release -q -p ccube --test sweep_golden
 
+echo "==> figure goldens in release (the profile perfbench and ccube figures run)"
+cargo test --release -q -p ccube --test golden_regression
+
 echo "==> ccube figures: --no-prep-cache and --threads 1 reproduce the cached 2-worker CSVs"
 rm -rf target/check-prep-cached target/check-prep-cold target/check-serial
 cargo run -q --release -p ccube --bin ccube -- figures --threads 2 target/check-prep-cached > /dev/null
@@ -97,9 +100,6 @@ for f in target/check-html/run.html target/check-html/diff.html; do
     ! grep -Eq 'src="http|href="http' "$f"
 done
 rm -rf target/check-html
-
-echo "==> cargo bench --no-run (benches stay buildable)"
-cargo bench --workspace --no-run
 
 echo "==> perfbench builds against the current public API (it is outside the workspace)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

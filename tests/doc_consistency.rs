@@ -6,11 +6,16 @@
 //! a `split_flag(.., "--new-flag")` call without touching the help text
 //! fails this test instead of shipping stale docs — the drift this PR
 //! fixed (the pre-seed `trace --diff` wording) stays fixed.
+//!
+//! The same goes for the tree: README.md and DESIGN.md may name only
+//! crates that exist, must name every crate that does, and DESIGN.md's
+//! dependency section must list exactly the vendored crates.
 
 /// The CLI source; `USAGE` is extracted out of it below.
 const CCUBE_SRC: &str = include_str!("../crates/core/src/bin/ccube.rs");
 const README: &str = include_str!("../README.md");
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
+const DESIGN: &str = include_str!("../DESIGN.md");
 
 /// The `USAGE` string constant, as written in the source (escape
 /// sequences left verbatim — good enough for substring audits).
@@ -161,4 +166,82 @@ fn html_viewer_is_documented_everywhere() {
             "{name} must document the --html viewer output"
         );
     }
+}
+
+/// The directory names under `dir` (`crates` or `vendor`), sorted.
+fn subdirs(dir: &str) -> Vec<String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut out: Vec<String> = std::fs::read_dir(root.join(dir))
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.file_type().unwrap().is_dir())
+        .map(|entry| entry.file_name().into_string().unwrap())
+        .collect();
+    out.sort();
+    out
+}
+
+/// DESIGN.md's `## <n>.` section, up to the next section.
+fn design_section(n: usize) -> &'static str {
+    let start = DESIGN.find(&format!("\n## {n}. ")).expect("section exists") + 1;
+    let len = DESIGN[start..]
+        .find("\n## ")
+        .unwrap_or(DESIGN.len() - start);
+    &DESIGN[start..start + len]
+}
+
+#[test]
+fn every_named_crate_and_vendor_path_exists() {
+    for (doc_name, doc) in [("README.md", README), ("DESIGN.md", DESIGN)] {
+        for dir in ["crates", "vendor"] {
+            let existing = subdirs(dir);
+            // `<dir>/<name>` not preceded by a word character; `<name>`
+            // is the path component after the slash.
+            for (pos, _) in doc.match_indices(&format!("{dir}/")) {
+                let before = doc[..pos].chars().next_back();
+                if before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+                    continue;
+                }
+                let name: String = doc[pos + dir.len() + 1..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
+                    .collect();
+                assert!(
+                    name.is_empty() || existing.contains(&name),
+                    "{doc_name} names {dir}/{name}, which does not exist"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_crate_is_in_readme_table_and_design_inventory() {
+    let inventory = design_section(3);
+    for name in subdirs("crates") {
+        assert!(
+            README.contains(&format!("| `crates/{name}` (")),
+            "README.md's crate table lacks crates/{name}"
+        );
+        assert!(
+            inventory.contains(&format!("\n  {name}/ ")),
+            "DESIGN.md section 3 lacks crates/{name}"
+        );
+    }
+}
+
+#[test]
+fn design_dependencies_name_exactly_the_vendored_crates() {
+    // A crate name is a backticked lower-case identifier: type names
+    // (`Mutex`), paths (`std::thread::scope`) and directories do not
+    // count.
+    let mut named: Vec<&str> = design_section(5)
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|t| !t.is_empty() && t.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+        .collect();
+    named.sort();
+    named.dedup();
+    assert_eq!(named, subdirs("vendor"), "DESIGN.md section 5 vs vendor/");
 }

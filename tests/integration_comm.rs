@@ -97,16 +97,8 @@ fn nccl_style_multi_ring_beats_the_baseline_tree_at_small_scale() {
     // bandwidth the ring beats the two-link double tree on 8 nodes.
     let topo = dgx1();
     let n = ByteSize::mib(256);
-    let cycles = ccube_topology::disjoint_rings(&topo, 3);
-    assert_eq!(cycles.len(), 3);
-    let mut orders: Vec<Vec<Rank>> = Vec::new();
-    for c in &cycles {
-        let fwd: Vec<Rank> = c.iter().map(|g| Rank(g.0)).collect();
-        let mut rev = fwd.clone();
-        rev.reverse();
-        orders.push(fwd);
-        orders.push(rev);
-    }
+    let orders = ccube_collectives::bidirectional_ring_orders(&topo, 3);
+    assert_eq!(orders.len(), 6);
     let ring = ring_allreduce_multi(n, &orders);
     ccube_collectives::verify::check_allreduce(&ring).unwrap();
     let er = Embedding::identity(&topo, &ring).unwrap();
