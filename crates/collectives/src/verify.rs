@@ -17,8 +17,7 @@
 
 use crate::chunk::ChunkId;
 use crate::rank::Rank;
-use crate::schedule::{Schedule, TransferId, TreeIndex};
-use std::collections::HashMap;
+use crate::schedule::{Groups, Schedule, TransferId, TreeIndex};
 use std::error::Error;
 use std::fmt;
 
@@ -222,35 +221,27 @@ pub fn dag_violations(schedule: &Schedule) -> Vec<DagViolation> {
     out
 }
 
-/// A set of rank contributions, one bit per rank. Shared with the
-/// analyzer's dataflow lints (`pub(crate)` for that reason).
+/// A set of rank contributions, one bit per rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Contrib {
+struct Contrib {
     bits: Vec<u64>,
 }
 
 impl Contrib {
-    pub(crate) fn single(rank: Rank, p: usize) -> Self {
+    fn single(rank: Rank, p: usize) -> Self {
         let mut bits = vec![0u64; p.div_ceil(64)];
         bits[rank.index() / 64] |= 1 << (rank.index() % 64);
         Contrib { bits }
     }
 
-    pub(crate) fn union(&mut self, other: &Contrib) {
+    fn union(&mut self, other: &Contrib) {
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a |= b;
         }
     }
 
-    pub(crate) fn count(&self) -> usize {
+    fn count(&self) -> usize {
         self.bits.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// True if the two sets share any contribution — the signature of a
-    /// double reduction (a payload folded into a buffer that already
-    /// contains part of it).
-    pub(crate) fn intersects(&self, other: &Contrib) -> bool {
-        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
     }
 }
 
@@ -361,54 +352,46 @@ pub fn execute_steps(
     let n = transfers.len();
     let k = schedule.chunking().num_chunks();
 
-    // Group transfer ids per channel, in id (FIFO) order.
-    type Key = (Rank, Rank, TreeIndex);
-    let key_of = |src: Rank, dst: Rank, tree: TreeIndex| -> Key {
+    // One queue of transfer ids per channel, in id (FIFO) order.
+    let queues = Groups::new(n, |i| {
+        let t = &transfers[i];
         match keying {
-            ChannelKeying::PerTree => (src, dst, tree),
-            ChannelKeying::SharedAcrossTrees => (src, dst, TreeIndex(0)),
+            ChannelKeying::PerTree => (t.src, t.dst, t.tree),
+            ChannelKeying::SharedAcrossTrees => (t.src, t.dst, TreeIndex(0)),
         }
-    };
-    let mut queues: HashMap<Key, Vec<u32>> = HashMap::new();
-    for t in transfers {
-        queues
-            .entry(key_of(t.src, t.dst, t.tree))
-            .or_default()
-            .push(t.id.0);
-    }
-    let mut heads: HashMap<Key, usize> = queues.keys().map(|&k| (k, 0usize)).collect();
+    });
+    let mut heads = vec![0usize; queues.keys.len()];
 
-    let mut completion_step = vec![0usize; n];
-    let mut done = vec![false; n];
+    // usize::MAX until the transfer completes, so "completed before this
+    // step" is one comparison.
+    let mut completion_step = vec![usize::MAX; n];
     let mut remaining = n;
     let mut step = 0usize;
+    let mut fired: Vec<usize> = Vec::new();
 
     while remaining > 0 {
         step += 1;
-        let mut fired = Vec::new();
-        for (key, queue) in &queues {
-            let head = heads[key];
-            if head >= queue.len() {
+        fired.clear();
+        for (q, queue) in queues.iter().enumerate() {
+            let Some(&tid) = queue.get(heads[q]) else {
                 continue;
-            }
-            let tid = queue[head] as usize;
-            let ready = transfers[tid]
+            };
+            let ready = transfers[tid as usize]
                 .deps
                 .iter()
-                .all(|d| done[d.index()] && completion_step[d.index()] < step);
+                .all(|d| completion_step[d.index()] < step);
             if ready {
-                fired.push((*key, tid));
+                fired.push(q);
             }
         }
         if fired.is_empty() {
             return Err(VerifyError::Deadlock { step, remaining });
         }
-        for (key, tid) in fired {
-            done[tid] = true;
-            completion_step[tid] = step;
-            *heads.get_mut(&key).expect("queue exists") += 1;
-            remaining -= 1;
+        for &q in &fired {
+            completion_step[queues.members(q)[heads[q]] as usize] = step;
+            heads[q] += 1;
         }
+        remaining -= fired.len();
     }
 
     let mut chunk_complete_step = vec![0usize; k];
@@ -425,7 +408,7 @@ pub fn execute_steps(
 }
 
 /// Runs the symbolic executor and returns the final contribution state.
-pub(crate) fn run_symbolic(schedule: &Schedule) -> Result<Vec<Vec<Contrib>>, VerifyError> {
+fn run_symbolic(schedule: &Schedule) -> Result<Vec<Vec<Contrib>>, VerifyError> {
     check_dag(schedule)?;
     let p = schedule.num_ranks();
     let k = schedule.chunking().num_chunks();
