@@ -52,6 +52,10 @@ cargo run -q --release -p ccube --bin ccube -- lint --physical all --json > /dev
 cargo test -q -p ccube --test lint_golden
 cargo test -q -p ccube --test property_physical
 
+echo "==> static analyzer and its goldens in release (the profile perfbench measures)"
+cargo test --release -q -p ccube-collectives
+cargo test --release -q -p ccube --test lint_golden --test property_lint
+
 echo "==> fault-plan severance golden (uplink and spine windows on the spine/leaf fabric)"
 cargo test -q -p ccube --test severance_golden
 
